@@ -37,7 +37,7 @@ BenchReporter::BenchReporter(std::string Name, int Argc, char **Argv)
       std::string V(A.substr(std::strlen("--engine=")));
       if (!interp::engineFromName(V, Eng)) {
         std::fprintf(stderr,
-                     "%s: --engine= expects tree|bytecode|hostsimd\n",
+                     "%s: --engine= expects tree|bytecode|native\n",
                      BenchName.c_str());
         std::exit(2);
       }

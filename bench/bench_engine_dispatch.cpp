@@ -3,12 +3,12 @@
 // Measures what the lowered execution cores buy over the tree-walk
 // interpreter on three interpreter-bound workloads (EXAMPLE, Mandelbrot
 // escape iteration, region growing), each compiled once through the
-// full flattening pipeline and then executed repeatedly under all three
-// engines (tree, bytecode, hostsimd). The model counters (steps,
-// cycles, utilization) must be identical across engines - they are the
-// gated metrics perf_compare diffs across commits - while the
-// wall-clock ratios tree/bytecode and tree/hostsimd are the measured
-// dispatch speedups (ungated: CI hardware varies).
+// full flattening pipeline and then executed repeatedly under both
+// interpreters (tree, bytecode). The model counters (steps, cycles,
+// utilization) must be identical across engines - they are the gated
+// metrics perf_compare diffs across commits - while the wall-clock
+// ratio tree/bytecode is the measured dispatch speedup (ungated: CI
+// hardware varies).
 //
 //===----------------------------------------------------------------------===//
 
@@ -140,18 +140,15 @@ int main(int argc, char **argv) {
   }
 
   TextTable T;
-  T.setHeader({"workload", "tree s", "bytecode s", "hostsimd s",
-               "byte x", "hsimd x", "steps"});
+  T.setHeader({"workload", "tree s", "bytecode s", "byte x", "steps"});
   bool StatsMatch = true;
   double WorstSpeedup = 1e9;
   for (const Workload &W : Workloads) {
-    // Cross-check first: all engines must report identical model
+    // Cross-check first: both engines must report identical model
     // counters, or the timing comparison is meaningless.
     SimdRunResult TreeR = runOnce(W, Engine::Tree);
     SimdRunResult ByteR = runOnce(W, Engine::Bytecode);
-    SimdRunResult HostR = runOnce(W, Engine::HostSimd);
-    if (!sameStats(TreeR.Stats, ByteR.Stats) ||
-        !sameStats(TreeR.Stats, HostR.Stats)) {
+    if (!sameStats(TreeR.Stats, ByteR.Stats)) {
       std::fprintf(stderr,
                    "engine_dispatch: %s: engines disagree on model "
                    "counters\n",
@@ -164,26 +161,17 @@ int main(int argc, char **argv) {
     double ByteS = Rep.timeSecondsMedian(
         [&] { runOnce(W, Engine::Bytecode); }, /*Warmup=*/1,
         /*Repeats=*/5);
-    double HostS = Rep.timeSecondsMedian(
-        [&] { runOnce(W, Engine::HostSimd); }, /*Warmup=*/1,
-        /*Repeats=*/5);
     double Speedup = ByteS > 0.0 ? TreeS / ByteS : 0.0;
-    double HostSpeedup = HostS > 0.0 ? TreeS / HostS : 0.0;
     WorstSpeedup = std::min(WorstSpeedup, Speedup);
 
     T.addRow({W.Name, formatf("%.4f", TreeS), formatf("%.4f", ByteS),
-              formatf("%.4f", HostS), formatf("%.2fx", Speedup),
-              formatf("%.2fx", HostSpeedup),
+              formatf("%.2fx", Speedup),
               std::to_string(ByteR.Stats.WorkSteps)});
     Rep.recordRunStats(W.Name, ByteR.Stats);
     Rep.record(W.Name, "tree_wall_seconds", TreeS, "s", /*Gate=*/false);
     Rep.record(W.Name, "bytecode_wall_seconds", ByteS, "s",
                /*Gate=*/false);
-    Rep.record(W.Name, "hostsimd_wall_seconds", HostS, "s",
-               /*Gate=*/false);
     Rep.record(W.Name, "dispatch_speedup", Speedup, "ratio",
-               /*Gate=*/false, bench::Direction::HigherIsBetter);
-    Rep.record(W.Name, "hostsimd_speedup", HostSpeedup, "ratio",
                /*Gate=*/false, bench::Direction::HigherIsBetter);
   }
   std::fputs(T.render().c_str(), stdout);

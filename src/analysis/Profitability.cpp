@@ -54,9 +54,11 @@ TripDistribution::TripDistribution(const interp::TripHistogram &H) {
   };
   for (int64_t V = 0; V < interp::TripHistogram::NumExact; ++V)
     Emit(V, H.Exact[static_cast<size_t>(V)]);
+  // Only occupied buckets get a midpoint: the top bucket's midpoint
+  // overflows int64, and no recorded trip can land there.
   for (int64_t B = 0; B < interp::TripHistogram::NumLog2; ++B)
-    Emit(interp::TripHistogram::log2BucketMid(B),
-         H.Log2[static_cast<size_t>(B)]);
+    if (int64_t Count = H.Log2[static_cast<size_t>(B)]; Count > 0)
+      Emit(interp::TripHistogram::log2BucketMid(B), Count);
 }
 
 const interp::NestTripStats *analysis::dominantTripNest(

@@ -9,7 +9,7 @@
 /// exec::Program: the flattened/coalesced schedule as straight-line
 /// native loops over a fixed lane count, masked commits as blends,
 /// per-lane fuel/deadline polling and trap collection semantically
-/// identical to the interpreter's Core<IsSimd, Kern> (the quad-engine
+/// identical to the interpreter's Core<IsSimd> (the three-engine
 /// fuzz oracle enforces bit-identity of stores, counters, traps, extern
 /// logs and trip histograms).
 ///

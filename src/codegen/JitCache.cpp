@@ -110,14 +110,19 @@ SfNativeRunFn buildOne(const std::string &Source, uint64_t Key,
 
     // -ffp-contract=off: the emitted loops must not fuse a mul+add that
     // the bytecode engine executes as two rounded instructions, or the
-    // quad-engine oracle loses FP bit-identity. -march=native is safe
+    // three-engine oracle loses FP bit-identity. -march=native is safe
     // for a JIT (artifacts never leave the host that compiled them) and
     // lets the per-lane loops vectorize; -fno-math-errno frees sqrt to
     // inline (the emitted code pre-sweeps negative operands exactly
     // like the interpreter, so errno was already dead). Both keep every
     // operation individually IEEE-rounded. -w: generated code has
     // unused labels/locals by construction.
-    std::filesystem::path SoTmp = Dir / (std::string(Name) + ".so.tmp");
+    // PID-suffixed like the source temp: two processes compiling one
+    // key must not link into the same file, or the loser's rename
+    // fails and caches a spurious failure.
+    std::filesystem::path SoTmp =
+        Dir / (std::string(Name) + ".so.tmp" +
+               std::to_string(static_cast<long>(::getpid())));
     std::ostringstream Cmd;
     Cmd << "\"" << compilerPath() << "\""
         << " -std=c++20 -O3 -march=native -fno-math-errno -fPIC -shared"
@@ -129,8 +134,10 @@ SfNativeRunFn buildOne(const std::string &Source, uint64_t Key,
       return nullptr;
     }
     std::filesystem::rename(SoTmp, So, EC);
-    if (EC)
+    if (EC) {
+      std::filesystem::remove(SoTmp, EC);
       return nullptr;
+    }
     WasCompile = true;
     Bytes = static_cast<int64_t>(std::filesystem::file_size(So, EC));
   }

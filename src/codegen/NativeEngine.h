@@ -9,10 +9,10 @@
 /// program (CppEmitter), compiles + loads it (JitCache), marshals one
 /// run through the SfContext ABI (NativeAbi.h), and replays every host
 /// side effect - traps, deadline polls, work steps, trip samples,
-/// extern calls - exactly as the interpreter's Core<IsSimd, Kern>
+/// extern calls - exactly as the interpreter's Core<IsSimd>
 /// would. Observable behavior (stores, stats, traces, traps, per-lane
 /// fault sets, extern call order) is bit-identical to runSimd; the
-/// quad-engine fuzz oracle enforces it.
+/// three-engine fuzz oracle enforces it.
 ///
 /// Every entry point degrades instead of failing: when the build has no
 /// JIT, the program is not emittable (scalar mode, unknown opcode), or

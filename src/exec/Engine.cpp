@@ -1,15 +1,13 @@
-//===- exec/Engine.cpp - Bytecode evaluation core (generic) ----*- C++ -*-===//
+//===- exec/Engine.cpp - Bytecode evaluation core --------------*- C++ -*-===//
 //
 // Part of simdflat. MIT license.
 //
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The generic-kernel instantiations of the shared evaluation core
-/// (exec/EngineCore.h): the historical bytecode engine, bit-identical
-/// to the tree walkers. The HostSimd backend instantiates the same core
-/// with vector kernels in its own translation unit (HostSimd.cpp) so
-/// this TU's codegen never depends on -mavx2.
+/// The two instantiations of the shared evaluation core
+/// (exec/EngineCore.h): the bytecode engine, bit-identical to the tree
+/// walkers.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -26,9 +24,9 @@ void exec::runScalar(const Program &EP,
                      const std::optional<ParallelSlice> &Slice,
                      bool RecordWrites, ScalarRunResult &Result) {
   assert(EP.M == Mode::Scalar && "scalar engine needs a Scalar program");
-  detail::Core<false, kern::Generic> C(EP, Machine, Externs, Opts, Store,
-                                       &Slice, RecordWrites, Result.Stats,
-                                       Result.Tr, &Result.Writes);
+  detail::Core<false> C(EP, Machine, Externs, Opts, Store, &Slice,
+                        RecordWrites, Result.Stats, Result.Tr,
+                        &Result.Writes);
   C.run();
 }
 
@@ -36,9 +34,8 @@ void exec::runSimd(const Program &EP, const machine::MachineConfig &Machine,
                    const ExternRegistry *Externs, const RunOptions &Opts,
                    DataStore &Store, SimdRunResult &Result) {
   assert(EP.M == Mode::Simd && "simd engine needs a Simd program");
-  detail::Core<true, kern::Generic> C(EP, Machine, Externs, Opts, Store,
-                                      nullptr, /*RecordWrites=*/false,
-                                      Result.Stats, Result.Tr,
-                                      /*Writes=*/nullptr);
+  detail::Core<true> C(EP, Machine, Externs, Opts, Store, nullptr,
+                       /*RecordWrites=*/false, Result.Stats, Result.Tr,
+                       /*Writes=*/nullptr);
   C.run();
 }

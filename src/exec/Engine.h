@@ -43,27 +43,6 @@ void runSimd(const Program &EP, const machine::MachineConfig &Machine,
              const interp::RunOptions &Opts, interp::DataStore &Store,
              interp::SimdRunResult &Result);
 
-/// Runs a Simd-mode program with the host-SIMD backend: the same
-/// evaluation core as runSimd, but the dense per-lane arithmetic loops
-/// run through hardware vector kernels (AVX2 when the build detected
-/// it, the portable array-of-width fallback otherwise). Observable
-/// behavior - stores, stats, traces, traps, per-lane fault sets - is
-/// bit-identical to runSimd; only wall-clock time differs. Throws
-/// interp::TrapException on a fault.
-void runSimdHost(const Program &EP, const machine::MachineConfig &Machine,
-                 const interp::ExternRegistry *Externs,
-                 const interp::RunOptions &Opts, interp::DataStore &Store,
-                 interp::SimdRunResult &Result);
-
-/// Which kernel set runSimdHost executes: "avx2" or "portable".
-/// Decided at configure time (see SIMDFLAT_HOSTSIMD_AVX2 in the
-/// top-level CMakeLists) and fixed for the build.
-const char *hostSimdArch();
-
-/// Native width (double lanes per vector register) of the host-SIMD
-/// kernel set: 4 for AVX2 and for the portable fallback's fixed block.
-int hostSimdWidth();
-
 } // namespace exec
 } // namespace simdflat
 

@@ -5,22 +5,15 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The evaluation core behind exec::runScalar / runSimd / runSimdHost,
-/// shared by every engine as a template over two policies:
-///
-///  * IsSimd - the scalar policy runs ScalVal registers (and, via a
-///    ParallelSlice, one MIMD processor); the SIMD policy runs VecVal
-///    lane vectors under a MaskStack.
-///  * Kern   - which SimdKernels.h kernel set runs the dense per-lane
-///    arithmetic loops of the SIMD policy. kern::Generic reproduces the
-///    historical bytecode engine; the HostSimd backend instantiates the
-///    same Core with vector kernels from a -mavx2 translation unit.
+/// The evaluation core behind exec::runScalar / runSimd, shared by
+/// both entry points as a template over one policy, IsSimd: the scalar
+/// policy runs ScalVal registers (and, via a ParallelSlice, one MIMD
+/// processor); the SIMD policy runs VecVal lane vectors under a
+/// MaskStack.
 ///
 /// Every handler is a transcription of the corresponding tree-walker
 /// path: same charges in the same order, same trap kinds, messages and
-/// lane sets. Opcodes that collect faulting lane sets, call externs, or
-/// reduce in lane order stay generic regardless of Kern - the
-/// scalar-fallback rule (DESIGN.md §13).
+/// lane sets.
 ///
 /// This is a private header of src/exec; include it only from engine
 /// translation units.
@@ -31,7 +24,6 @@
 #define SIMDFLAT_EXEC_ENGINECORE_H
 
 #include "exec/Engine.h"
-#include "exec/SimdKernels.h"
 
 #include "interp/Extern.h"
 #include "machine/MaskStack.h"
@@ -40,6 +32,7 @@
 #include <algorithm>
 #include <cassert>
 #include <cmath>
+#include <cstdlib>
 #include <limits>
 #include <type_traits>
 
@@ -103,8 +96,139 @@ inline bool cmpVals(Opcode Op, double LV, double RV) {
   }
 }
 
+//===----------------------------------------------------------------------===//
+// Dense per-lane loops of the SIMD policy. Only trap-free math lives
+// here; anything that collects faulting lane sets, calls an extern, or
+// reduces in lane order stays in Core's dispatch.
+//===----------------------------------------------------------------------===//
+
+inline void negI(int64_t *O, const int64_t *A, size_t N) {
+  for (size_t L = 0; L < N; ++L)
+    O[L] = -A[L];
+}
+inline void negR(double *O, const double *A, size_t N) {
+  for (size_t L = 0; L < N; ++L)
+    O[L] = -A[L];
+}
+inline void notI(int64_t *O, const int64_t *A, size_t N) {
+  for (size_t L = 0; L < N; ++L)
+    O[L] = !A[L];
+}
+inline void logicOp(bool IsAnd, int64_t *O, const int64_t *A,
+                    const int64_t *B, size_t N) {
+  for (size_t L = 0; L < N; ++L)
+    O[L] = IsAnd ? (A[L] && B[L]) : (A[L] || B[L]);
+}
+inline void cmpRR(Opcode Op, int64_t *O, const double *A, const double *B,
+                  size_t N) {
+  switch (Op) {
+  case Opcode::CmpEq:
+    for (size_t L = 0; L < N; ++L)
+      O[L] = A[L] == B[L];
+    break;
+  case Opcode::CmpNe:
+    for (size_t L = 0; L < N; ++L)
+      O[L] = A[L] != B[L];
+    break;
+  case Opcode::CmpLt:
+    for (size_t L = 0; L < N; ++L)
+      O[L] = A[L] < B[L];
+    break;
+  case Opcode::CmpLe:
+    for (size_t L = 0; L < N; ++L)
+      O[L] = A[L] <= B[L];
+    break;
+  case Opcode::CmpGt:
+    for (size_t L = 0; L < N; ++L)
+      O[L] = A[L] > B[L];
+    break;
+  case Opcode::CmpGe:
+    for (size_t L = 0; L < N; ++L)
+      O[L] = A[L] >= B[L];
+    break;
+  default:
+    SIMDFLAT_UNREACHABLE("not a comparison");
+  }
+}
+inline void addI(int64_t *O, const int64_t *A, const int64_t *B, size_t N) {
+  for (size_t L = 0; L < N; ++L)
+    O[L] = A[L] + B[L];
+}
+inline void subI(int64_t *O, const int64_t *A, const int64_t *B, size_t N) {
+  for (size_t L = 0; L < N; ++L)
+    O[L] = A[L] - B[L];
+}
+inline void mulI(int64_t *O, const int64_t *A, const int64_t *B, size_t N) {
+  for (size_t L = 0; L < N; ++L)
+    O[L] = A[L] * B[L];
+}
+inline void addR(double *O, const double *A, const double *B, size_t N) {
+  for (size_t L = 0; L < N; ++L)
+    O[L] = A[L] + B[L];
+}
+inline void subR(double *O, const double *A, const double *B, size_t N) {
+  for (size_t L = 0; L < N; ++L)
+    O[L] = A[L] - B[L];
+}
+inline void mulR(double *O, const double *A, const double *B, size_t N) {
+  for (size_t L = 0; L < N; ++L)
+    O[L] = A[L] * B[L];
+}
+/// The guarded divide: a zero divisor yields 0.0 (active-lane zero
+/// divisors do not trap on the real path; the language defines the
+/// quotient away instead).
+inline void divR(double *O, const double *A, const double *B, size_t N) {
+  for (size_t L = 0; L < N; ++L)
+    O[L] = B[L] == 0.0 ? 0.0 : A[L] / B[L];
+}
+inline void minmaxI(bool IsMax, int64_t *O, const int64_t *A,
+                    const int64_t *B, size_t N) {
+  for (size_t L = 0; L < N; ++L)
+    O[L] = IsMax ? std::max(A[L], B[L]) : std::min(A[L], B[L]);
+}
+inline void minmaxR(bool IsMax, double *O, const double *A,
+                    const double *B, size_t N) {
+  for (size_t L = 0; L < N; ++L)
+    O[L] = IsMax ? std::max(A[L], B[L]) : std::min(A[L], B[L]);
+}
+inline void absI(int64_t *O, const int64_t *A, size_t N) {
+  for (size_t L = 0; L < N; ++L)
+    O[L] = std::llabs(A[L]);
+}
+inline void absR(double *O, const double *A, size_t N) {
+  for (size_t L = 0; L < N; ++L)
+    O[L] = std::fabs(A[L]);
+}
+/// True when any lane is strictly negative (NaN lanes are not). The
+/// sqrt fast path uses this to skip the trap-collecting sweep.
+inline bool anyNegative(const double *A, size_t N) {
+  for (size_t L = 0; L < N; ++L)
+    if (A[L] < 0.0)
+      return true;
+  return false;
+}
+/// Plain sqrt over every lane; only called once anyNegative said no
+/// lane traps (so no lane needs the negative-input guard).
+inline void sqrtR(double *O, const double *A, size_t N) {
+  for (size_t L = 0; L < N; ++L)
+    O[L] = std::sqrt(A[L]);
+}
+/// Masked commit: lanes with a zero mask byte keep their old value.
+inline void maskedStoreI(int64_t *Dst, const int64_t *Src,
+                         const uint8_t *M, size_t N) {
+  for (size_t L = 0; L < N; ++L)
+    if (M[L])
+      Dst[L] = Src[L];
+}
+inline void maskedStoreR(double *Dst, const double *Src, const uint8_t *M,
+                         size_t N) {
+  for (size_t L = 0; L < N; ++L)
+    if (M[L])
+      Dst[L] = Src[L];
+}
+
 /// The evaluation core. One instantiation per execution policy.
-template <bool IsSimd, class Kern = kern::Generic> class Core {
+template <bool IsSimd> class Core {
   using Reg = std::conditional_t<IsSimd, VecVal, ScalVal>;
 
 public:
@@ -313,10 +437,9 @@ private:
   void recordWorkStep() {
     Stats.WorkSteps += 1;
     if constexpr (IsSimd) {
-      // Lane accounting never sees kernel padding: active counts the
-      // mask over the machine's real lanes, total counts Gran. Padded
-      // tail layers show up as active < total, exactly the idle slots
-      // the paper's utilization measures.
+      // Active counts the mask over the machine's real lanes, total
+      // counts Gran. Padded tail layers show up as active < total,
+      // exactly the idle slots the paper's utilization measures.
       Stats.WorkActiveLanes += Mask.activeCount();
       Stats.WorkTotalLanes += Lanes;
     } else {
@@ -385,7 +508,7 @@ private:
   }
 };
 
-template <bool IsSimd, class Kern> void Core<IsSimd, Kern>::run() {
+template <bool IsSimd> void Core<IsSimd>::run() {
   size_t PC = 0;
   for (;;) {
     const Instr &I = EP.Code[PC];
@@ -535,14 +658,13 @@ template <bool IsSimd, class Kern> void Core<IsSimd, Kern>::run() {
                    std::move(VaryLanes));
           }
         } else {
-          // Masked commit: idle lanes keep their old value. Under the
-          // vector kernels this is a blend over the current mask.
+          // Masked commit: idle lanes keep their old value.
           if (S.isReal())
-            Kern::maskedStoreR(S.R.data(), C.R.data(),
-                               Mask.current().data(), laneCount());
+            maskedStoreR(S.R.data(), C.R.data(), Mask.current().data(),
+                         laneCount());
           else
-            Kern::maskedStoreI(S.I.data(), C.I.data(),
-                               Mask.current().data(), laneCount());
+            maskedStoreI(S.I.data(), C.I.data(), Mask.current().data(),
+                         laneCount());
         }
       } else {
         ScalVal C = coerce(Regs[I.B], S.Decl->Kind);
@@ -639,9 +761,9 @@ template <bool IsSimd, class Kern> void Core<IsSimd, Kern>::run() {
         charge(V.Kind == ir::ScalarKind::Real ? Machine.Costs.RealOp
                                               : Machine.Costs.IntOp);
         if (V.Kind == ir::ScalarKind::Real)
-          Kern::negR(outR(I.A).data(), V.R.data(), laneCount());
+          negR(outR(I.A).data(), V.R.data(), laneCount());
         else
-          Kern::negI(outI(I.A, V.Kind).data(), V.I.data(), laneCount());
+          negI(outI(I.A, V.Kind).data(), V.I.data(), laneCount());
       } else {
         const ScalVal &V = Regs[I.B];
         charge(V.Kind == ir::ScalarKind::Real ? Machine.Costs.RealOp
@@ -657,7 +779,7 @@ template <bool IsSimd, class Kern> void Core<IsSimd, Kern>::run() {
       charge(Machine.Costs.LogicOp);
       if constexpr (IsSimd) {
         const VecVal &V = Regs[I.B];
-        Kern::notI(outI(I.A, V.Kind).data(), V.I.data(), laneCount());
+        notI(outI(I.A, V.Kind).data(), V.I.data(), laneCount());
       } else {
         soutI(I.A, ir::ScalarKind::Bool) = Regs[I.B].asBool() ? 0 : 1;
       }
@@ -669,8 +791,8 @@ template <bool IsSimd, class Kern> void Core<IsSimd, Kern>::run() {
       bool IsAnd = I.Op == Opcode::AndOp;
       if constexpr (IsSimd) {
         const VecVal &L = Regs[I.B], &R = Regs[I.C];
-        Kern::logicOp(IsAnd, outI(I.A, ir::ScalarKind::Bool).data(),
-                      L.I.data(), R.I.data(), laneCount());
+        logicOp(IsAnd, outI(I.A, ir::ScalarKind::Bool).data(), L.I.data(),
+                R.I.data(), laneCount());
       } else {
         bool LV = Regs[I.B].asBool(), RV = Regs[I.C].asBool();
         soutI(I.A, ir::ScalarKind::Bool) =
@@ -691,8 +813,8 @@ template <bool IsSimd, class Kern> void Core<IsSimd, Kern>::run() {
         // coercion scratch and run one real-compare kernel.
         const VecVal &L = readReal(I.B, CoerceA);
         const VecVal &R = readReal(I.C, CoerceB);
-        Kern::cmpRR(I.Op, outI(I.A, ir::ScalarKind::Bool).data(),
-                    L.R.data(), R.R.data(), laneCount());
+        cmpRR(I.Op, outI(I.A, ir::ScalarKind::Bool).data(), L.R.data(),
+              R.R.data(), laneCount());
       } else {
         const ScalVal &L = Regs[I.B], &R = Regs[I.C];
         if (L.Kind == ir::ScalarKind::Bool ||
@@ -717,11 +839,11 @@ template <bool IsSimd, class Kern> void Core<IsSimd, Kern>::run() {
         const VecVal &L = Regs[I.B], &R = Regs[I.C];
         std::vector<int64_t> &Out = outI(I.A, ir::ScalarKind::Int);
         if (I.Op == Opcode::AddI)
-          Kern::addI(Out.data(), L.I.data(), R.I.data(), laneCount());
+          addI(Out.data(), L.I.data(), R.I.data(), laneCount());
         else if (I.Op == Opcode::SubI)
-          Kern::subI(Out.data(), L.I.data(), R.I.data(), laneCount());
+          subI(Out.data(), L.I.data(), R.I.data(), laneCount());
         else
-          Kern::mulI(Out.data(), L.I.data(), R.I.data(), laneCount());
+          mulI(Out.data(), L.I.data(), R.I.data(), laneCount());
       } else {
         int64_t LV = Regs[I.B].asInt(), RV = Regs[I.C].asInt();
         switch (I.Op) {
@@ -742,8 +864,8 @@ template <bool IsSimd, class Kern> void Core<IsSimd, Kern>::run() {
     }
     case Opcode::DivI:
     case Opcode::ModI: {
-      // Generic on every engine: the zero-divisor sweep collects the
-      // faulting active-lane set for the trap (scalar-fallback rule).
+      // The zero-divisor sweep collects the faulting active-lane set
+      // for the trap.
       charge(Machine.Costs.IntOp);
       if constexpr (IsSimd) {
         const VecVal &L = Regs[I.B], &R = Regs[I.C];
@@ -791,16 +913,16 @@ template <bool IsSimd, class Kern> void Core<IsSimd, Kern>::run() {
         std::vector<double> &Out = outR(I.A);
         switch (I.Op) {
         case Opcode::AddR:
-          Kern::addR(Out.data(), L.R.data(), R.R.data(), laneCount());
+          addR(Out.data(), L.R.data(), R.R.data(), laneCount());
           break;
         case Opcode::SubR:
-          Kern::subR(Out.data(), L.R.data(), R.R.data(), laneCount());
+          subR(Out.data(), L.R.data(), R.R.data(), laneCount());
           break;
         case Opcode::MulR:
-          Kern::mulR(Out.data(), L.R.data(), R.R.data(), laneCount());
+          mulR(Out.data(), L.R.data(), R.R.data(), laneCount());
           break;
         case Opcode::DivR:
-          Kern::divR(Out.data(), L.R.data(), R.R.data(), laneCount());
+          divR(Out.data(), L.R.data(), R.R.data(), laneCount());
           break;
         default:
           SIMDFLAT_UNREACHABLE("bad real arithmetic op");
@@ -835,11 +957,10 @@ template <bool IsSimd, class Kern> void Core<IsSimd, Kern>::run() {
         const VecVal &B = readVec(I.C, K, CoerceB);
         charge(Real ? Machine.Costs.RealOp : Machine.Costs.IntOp);
         if (Real)
-          Kern::minmaxR(IsMax, outR(I.A).data(), A.R.data(), B.R.data(),
-                        laneCount());
+          minmaxR(IsMax, outR(I.A).data(), A.R.data(), B.R.data(), laneCount());
         else
-          Kern::minmaxI(IsMax, outI(I.A, K).data(), A.I.data(), B.I.data(),
-                        laneCount());
+          minmaxI(IsMax, outI(I.A, K).data(), A.I.data(), B.I.data(),
+                  laneCount());
       } else {
         const ScalVal &A = Regs[I.B], &B = Regs[I.C];
         charge(Real ? Machine.Costs.RealOp : Machine.Costs.IntOp);
@@ -861,9 +982,9 @@ template <bool IsSimd, class Kern> void Core<IsSimd, Kern>::run() {
         charge(A.Kind == ir::ScalarKind::Real ? Machine.Costs.RealOp
                                               : Machine.Costs.IntOp);
         if (A.Kind == ir::ScalarKind::Real)
-          Kern::absR(outR(I.A).data(), A.R.data(), laneCount());
+          absR(outR(I.A).data(), A.R.data(), laneCount());
         else
-          Kern::absI(outI(I.A, A.Kind).data(), A.I.data(), laneCount());
+          absI(outI(I.A, A.Kind).data(), A.I.data(), laneCount());
       } else {
         const ScalVal &A = Regs[I.B];
         charge(A.Kind == ir::ScalarKind::Real ? Machine.Costs.RealOp
@@ -880,7 +1001,7 @@ template <bool IsSimd, class Kern> void Core<IsSimd, Kern>::run() {
       if constexpr (IsSimd) {
         const VecVal &A = Regs[I.B];
         std::vector<double> &Out = outR(I.A);
-        if (Kern::anyNegative(A.R.data(), laneCount())) {
+        if (anyNegative(A.R.data(), laneCount())) {
           // Slow path: some lane is negative. Sweep generically to
           // collect the faulting *active* lanes; idle negative lanes
           // produce the defined-away 0.0 without trapping.
@@ -895,7 +1016,7 @@ template <bool IsSimd, class Kern> void Core<IsSimd, Kern>::run() {
                  "SQRT of a negative on active lane(s)",
                  std::move(NegLanes));
         } else {
-          Kern::sqrtR(Out.data(), A.R.data(), laneCount());
+          sqrtR(Out.data(), A.R.data(), laneCount());
         }
       } else {
         const ScalVal &A = Regs[I.B];

@@ -61,7 +61,7 @@ struct OracleOptions {
   /// trip-histogram identity against the bytecode engine. Off by
   /// default: each distinct program shape costs one host-compiler
   /// invocation, so callers bound the case count (the codegen-smoke CI
-  /// leg and the quad-engine ctest). A build without a toolchain
+  /// leg and the three-engine ctest). A build without a toolchain
   /// degrades Native to bytecode, which still must pass - the flag is
   /// always safe to set.
   bool Native = false;
@@ -113,9 +113,9 @@ interp::ExternRegistry makeFuzzRegistry(std::vector<std::string> &Log,
 /// Runs every variant of \p C and compares against the scalar
 /// reference. Never aborts on a trapping program.
 ///
-/// Every variant executes three times - tree-walk engine, bytecode
-/// engine, host-SIMD backend - four with OracleOptions::Native, which
-/// adds the JIT'd native tier. Each lowered engine must agree with
+/// Every variant executes twice - tree-walk engine, bytecode engine -
+/// three times with OracleOptions::Native, which adds the JIT'd native
+/// tier. Each lowered engine must agree with
 /// the tree *exactly*: same stores (bitwise), same body count, same
 /// extern log entry by entry, same trap kind/lanes/location/detail,
 /// same RunStats down to the charged cycle count; the lowered engines

@@ -62,7 +62,7 @@ public:
 
 private:
   const ir::Program &Prog;
-  const machine::MachineConfig &Machine;
+  machine::MachineConfig Machine;
   const ExternRegistry *Externs;
   int64_t NumProcs;
   machine::Layout PartLayout;

@@ -93,7 +93,7 @@ public:
 private:
   class Impl;
   const ir::Program &Prog;
-  const machine::MachineConfig &Machine;
+  machine::MachineConfig Machine;
   const ExternRegistry *Externs;
   RunOptions Opts;
   DataStore Store;

@@ -17,7 +17,10 @@ int64_t CircuitBreaker::nowMicros() const {
 
 CircuitBreaker::State CircuitBreaker::admit(uint64_t Key) {
   std::lock_guard<std::mutex> Lock(M);
-  Entry &E = Map[Key];
+  auto It = Map.find(Key);
+  if (It == Map.end())
+    return State::Closed;
+  Entry &E = It->second;
   switch (E.St) {
   case State::Closed:
     return State::Closed;
@@ -43,10 +46,7 @@ CircuitBreaker::State CircuitBreaker::admit(uint64_t Key) {
 
 void CircuitBreaker::recordSuccess(uint64_t Key) {
   std::lock_guard<std::mutex> Lock(M);
-  Entry &E = Map[Key];
-  E.St = State::Closed;
-  E.Consecutive = 0;
-  E.Budget = 0;
+  Map.erase(Key);
 }
 
 void CircuitBreaker::recordFailure(uint64_t Key) {
@@ -79,7 +79,9 @@ CircuitBreaker::State CircuitBreaker::peek(uint64_t Key) const {
 
 CircuitBreaker::Stats CircuitBreaker::stats() const {
   std::lock_guard<std::mutex> Lock(M);
-  return S;
+  Stats Out = S;
+  Out.Tracked = static_cast<int64_t>(Map.size());
+  return Out;
 }
 
 const char *serve::breakerStateName(CircuitBreaker::State St) {

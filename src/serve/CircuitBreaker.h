@@ -29,6 +29,11 @@
 /// hash keep taking the fallback - exactly one request risks the
 /// primary path per budget (or cooldown) cycle.
 ///
+/// Only hashes with a failure on record are tracked: a Closed entry
+/// with no failures behaves exactly like a missing one, so a success
+/// drops the entry and memory stays bounded by the failing programs,
+/// not by every program ever served.
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef SIMDFLAT_SERVE_CIRCUITBREAKER_H
@@ -64,6 +69,9 @@ public:
   struct Stats {
     int64_t Opens = 0;
     int64_t Probes = 0;
+    /// Hashes currently tracked (those with a failure since their last
+    /// success).
+    int64_t Tracked = 0;
   };
 
   CircuitBreaker() = default;
@@ -76,7 +84,7 @@ public:
   State admit(uint64_t Key);
 
   /// The primary path compiled (report for Closed admits and HalfOpen
-  /// probes alike): close the breaker and reset counters.
+  /// probes alike): close the breaker and forget \p Key.
   void recordSuccess(uint64_t Key);
 
   /// The primary path failed after retries. Closed: count toward the

@@ -197,7 +197,7 @@ struct Telemetry {
   /// (initial choice and each drift-triggered respecialization).
   int64_t StrategyEpoch = 0;
   /// Execution engine that actually ran the request ("tree" /
-  /// "bytecode" / "hostsimd" / "native"). Usually ServerOptions::Eng,
+  /// "bytecode" / "native"). Usually ServerOptions::Eng,
   /// but a request routed to Engine::Native reports "bytecode" when
   /// the native tier degraded (no toolchain, emitter refusal, or a
   /// failed host compile) - the tag comes from the interpreter's

@@ -1,7 +1,7 @@
 //===- tests/exec/EngineEquivalenceTest.cpp --------------------*- C++ -*-===//
 //
-// Triple-engine equivalence: the bytecode core and the host-SIMD
-// backend must be observably identical to the tree-walking reference on
+// Three-engine equivalence: the bytecode core and the native tier
+// must be observably identical to the tree-walking reference on
 // stores, every RunStats counter, traces, and traps (kind, lanes,
 // location, detail) across the scalar, MIMD and SIMD executors. These
 // are the focused unit-level checks; the differential fuzzer covers the
@@ -67,8 +67,7 @@ TEST(EngineEquivalence, ScalarStoresAndStats) {
   std::vector<int64_t> X[3];
   ScalarRunResult R[3];
   int I = 0;
-  for (Engine E :
-       {Engine::Tree, Engine::Bytecode, Engine::HostSimd}) {
+  for (Engine E : {Engine::Tree, Engine::Bytecode, Engine::Native}) {
     ScalarInterp Interp(P, M, nullptr, optsFor(E));
     Interp.store().setInt("K", Spec.K);
     Interp.store().setIntArray("L", Spec.L);
@@ -95,8 +94,7 @@ TEST(EngineEquivalence, ScalarOutOfBoundsTrap) {
   machine::MachineConfig M = machine::MachineConfig::sparc2();
   Trap T[3];
   int I = 0;
-  for (Engine E :
-       {Engine::Tree, Engine::Bytecode, Engine::HostSimd}) {
+  for (Engine E : {Engine::Tree, Engine::Bytecode, Engine::Native}) {
     RunOptions O;
     O.Eng = E;
     ScalarInterp Interp(P, M, nullptr, O);
@@ -117,8 +115,7 @@ TEST(EngineEquivalence, ScalarFuelTrap) {
   machine::MachineConfig M = machine::MachineConfig::sparc2();
   Trap T[3];
   int I = 0;
-  for (Engine E :
-       {Engine::Tree, Engine::Bytecode, Engine::HostSimd}) {
+  for (Engine E : {Engine::Tree, Engine::Bytecode, Engine::Native}) {
     RunOptions O = optsFor(E);
     O.Fuel = 40;
     ScalarInterp Interp(P, M, nullptr, O);
@@ -141,8 +138,7 @@ TEST(EngineEquivalence, MimdSlicingAndMerge) {
   machine::MachineConfig M = machine::MachineConfig::sparc2();
   MimdRunResult R[3];
   int I = 0;
-  for (Engine E :
-       {Engine::Tree, Engine::Bytecode, Engine::HostSimd}) {
+  for (Engine E : {Engine::Tree, Engine::Bytecode, Engine::Native}) {
     MimdInterp Interp(P, M, nullptr, /*NumProcs=*/2,
                       machine::Layout::Block, optsFor(E));
     R[I++] = Interp.run([&](DataStore &S) {
@@ -176,8 +172,7 @@ TEST(EngineEquivalence, SimdTraceAndStats) {
   M.DataLayout = machine::Layout::Cyclic;
   SimdRunResult R[3];
   int I = 0;
-  for (Engine E :
-       {Engine::Tree, Engine::Bytecode, Engine::HostSimd}) {
+  for (Engine E : {Engine::Tree, Engine::Bytecode, Engine::Native}) {
     RunOptions O = optsFor(E);
     O.Watch = {"i", "j"};
     SimdInterp Interp(C->Prog, M, nullptr, O);

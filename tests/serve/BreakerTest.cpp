@@ -1,8 +1,9 @@
 //===- tests/serve/BreakerTest.cpp -----------------------------*- C++ -*-===//
 //
 // The count-based circuit breaker state machine: threshold opening,
-// open-budget fallback serving, half-open probes, and per-key
-// independence. Deterministic by construction (no clocks).
+// open-budget fallback serving, half-open probes, per-key
+// independence, and bounded tracking. Deterministic by construction (no
+// clocks).
 //
 //===----------------------------------------------------------------------===//
 
@@ -169,6 +170,24 @@ TEST(CircuitBreaker, ZeroCooldownKeepsCountOnlyBehaviour) {
   Now = 1'000'000'000;
   EXPECT_EQ(B.admit(1), State::Open)
       << "a zero cooldown must not re-probe on time";
+}
+
+TEST(CircuitBreaker, TracksOnlyKeysWithFailures) {
+  // A Closed entry with no failures behaves like a missing one, so a
+  // long-lived server must not keep one per program it ever served.
+  CircuitBreaker B(smallOptions());
+  for (uint64_t Key = 0; Key < 1000; ++Key) {
+    EXPECT_EQ(B.admit(Key), State::Closed);
+    B.recordSuccess(Key);
+  }
+  EXPECT_EQ(B.stats().Tracked, 0);
+  B.admit(7);
+  B.recordFailure(7);
+  EXPECT_EQ(B.stats().Tracked, 1);
+  B.admit(7);
+  B.recordSuccess(7);
+  EXPECT_EQ(B.stats().Tracked, 0);
+  EXPECT_EQ(B.peek(7), State::Closed);
 }
 
 TEST(CircuitBreaker, StateNames) {

@@ -98,7 +98,7 @@ TEST(FlattendCli, UnterminatedCompleteFinalLineIsServed) {
 }
 
 TEST(FlattendCli, EngineFlagSelectsBackendAndIsEchoed) {
-  for (const char *Eng : {"tree", "bytecode", "hostsimd"}) {
+  for (const char *Eng : {"tree", "bytecode"}) {
     CliResult R = runFlattend(
         std::string("--workers=1 --engine=") + Eng, goodRequest(1) + "\n");
     EXPECT_EQ(R.ExitCode, 0) << Eng << ":\n" << R.Output;
@@ -108,7 +108,8 @@ TEST(FlattendCli, EngineFlagSelectsBackendAndIsEchoed) {
               std::string::npos)
         << Eng << ":\n" << R.Output;
   }
-  EXPECT_EQ(runFlattend("--engine=warp", "").ExitCode, 2);
+  for (const char *Bad : {"--engine=warp", "--engine=hostsimd"})
+    EXPECT_EQ(runFlattend(Bad, "").ExitCode, 2) << Bad;
 }
 
 /// A request whose program has the DOALL/DO nest the adaptive layer
@@ -169,7 +170,7 @@ TEST(FlattendCli, ExceptionBarrierExitsFourWithDiagnostic) {
 }
 
 TEST(FlattendCli, HealthCheckReportsOkAndExitsZero) {
-  for (const char *Eng : {"bytecode", "hostsimd"}) {
+  for (const char *Eng : {"bytecode", "native"}) {
     CliResult R =
         runFlattend(std::string("--health --engine=") + Eng, "");
     EXPECT_EQ(R.ExitCode, 0) << Eng << ":\n" << R.Output;

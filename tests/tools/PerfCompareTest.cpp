@@ -214,10 +214,10 @@ json::Value withEngine(json::Value Doc, const char *Eng) {
 
 TEST(PerfCompare, EngineTagMatrixRefusesAnyCrossEngineDiff) {
   // The cross-engine refusal is generic over the tag value: every
-  // off-diagonal pair of the three-engine matrix refuses (a hostsimd
-  // baseline diffs only against a hostsimd run), every diagonal pair
+  // off-diagonal pair of the three-engine matrix refuses (a native
+  // baseline diffs only against a native run), every diagonal pair
   // compares normally.
-  const char *Tags[] = {"tree", "bytecode", "hostsimd"};
+  const char *Tags[] = {"tree", "bytecode", "native"};
   for (const char *BaseEng : Tags) {
     for (const char *NewEng : Tags) {
       auto R = compareBenchJson(
@@ -240,7 +240,7 @@ TEST(PerfCompare, EngineTagMatrixRefusesAnyCrossEngineDiff) {
 TEST(PerfCompare, UntaggedDocumentComparesWithAnyEngine) {
   // Seed baselines predate the engine tag; they stay comparable against
   // every engine rather than bricking the gate.
-  for (const char *Eng : {"tree", "bytecode", "hostsimd"}) {
+  for (const char *Eng : {"tree", "bytecode", "native"}) {
     auto Tagged = withEngine(makeDoc({{"a", "steps", 100.0}}), Eng);
     auto Plain = makeDoc({{"a", "steps", 100.0}});
     EXPECT_TRUE(compareBenchJson(Plain, Tagged).ok()) << Eng;

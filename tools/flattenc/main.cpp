@@ -95,13 +95,12 @@ void usage() {
       "                         pick the strategy, then build and run it\n"
       "  --analyze              print the loop-nest analysis and exit\n"
       "  --run                  execute on the SIMD simulator\n"
-      "  --engine=tree|bytecode|hostsimd|native\n"
+      "  --engine=tree|bytecode|native\n"
       "                         interpreter engine for --run (default\n"
       "                         bytecode; tree is the reference oracle,\n"
-      "                         hostsimd maps lanes onto host vector\n"
-      "                         lanes, native JIT-compiles the schedule\n"
-      "                         to host loops and falls back to\n"
-      "                         bytecode without a toolchain)\n"
+      "                         native JIT-compiles the schedule to\n"
+      "                         host loops and falls back to bytecode\n"
+      "                         without a toolchain)\n"
       "  --dump-bytecode        disassemble the lowered bytecode of the\n"
       "                         emitted program to stdout\n"
       "  --lanes=N              simulator lanes (with --run, N >= 1)\n"
@@ -196,8 +195,7 @@ bool parseArgs(int Argc, char **Argv, CliOptions &Opts) {
     } else if (A.rfind("--engine", 0) == 0) {
       if (!optionValue(A, V) || !interp::engineFromName(V, Opts.Eng))
         return cliError("flattenc: --engine expects "
-                        "tree|bytecode|hostsimd|native, "
-                        "got '%s'",
+                        "tree|bytecode|native, got '%s'",
                         A);
     } else if (A.rfind("--lanes", 0) == 0) {
       if (!optionValue(A, V) || !parseInt(V, Opts.Lanes) ||

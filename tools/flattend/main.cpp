@@ -28,7 +28,7 @@
 ///            --telemetry=serve.log < requests.jsonl   (one line)
 ///   flattend --fault-compile-failures=2 --fault-evict-mid-flight
 ///            < requests.jsonl   (fault drill: must still add up)
-///   flattend --health --engine=hostsimd
+///   flattend --health --engine=native
 ///
 /// Exit codes: 0 success, 1 unhealthy (--health only), 2 bad command
 /// line, 4 internal error (the exception barrier fired), 5 accounting
@@ -139,12 +139,11 @@ void usage() {
       "                           age out (default 0: accumulate every\n"
       "                           probe since the last decision)\n"
       "  --layout=cyclic|block    lane layout (default cyclic)\n"
-      "  --engine=tree|bytecode|hostsimd|native\n"
+      "  --engine=tree|bytecode|native\n"
       "                           execution engine (default bytecode;\n"
-      "                           hostsimd maps lanes onto host vector\n"
-      "                           lanes, native JIT-compiles schedules\n"
-      "                           to host loops and degrades to\n"
-      "                           bytecode without a toolchain)\n"
+      "                           native JIT-compiles schedules to\n"
+      "                           host loops and degrades to bytecode\n"
+      "                           without a toolchain)\n"
       "  --telemetry=PATH         append one accounting record per reply\n"
       "  --health                 self-check (compile + run a probe\n"
       "                           program), print one status line, exit\n"
@@ -309,7 +308,7 @@ bool parseArgs(int Argc, char **Argv, CliOptions &Opts) {
     } else if (A.rfind("--engine", 0) == 0) {
       if (!optionValue(A, V) || !interp::engineFromName(V, Opts.Server.Eng))
         return cliError("flattend: --engine expects "
-                        "tree|bytecode|hostsimd|native, got '%s'",
+                        "tree|bytecode|native, got '%s'",
                         A);
     } else if (A.rfind("--telemetry", 0) == 0) {
       if (!optionValue(A, V) || V.empty())

@@ -55,7 +55,7 @@ struct CliOptions {
   std::string Campaign;          // "" or "faults"
   std::string OutDir = "";       // where shrunk divergences are written
   bool BreakGuardCache = false;  // seeded-bug demonstration switch
-  bool Native = false;           // quad-engine oracle (JIT per case)
+  bool Native = false;           // three-engine oracle (JIT per case)
 };
 
 void usage() {
@@ -82,7 +82,7 @@ void usage() {
       "  --break-guard-cache\n"
       "                     seed the known GuardIntro-cache bug (the\n"
       "                     oracle must catch it; for demonstration)\n"
-      "  --native           quad-engine oracle: also run every variant\n"
+      "  --native           three-engine oracle: also run every variant\n"
       "                     under Engine::Native (one host-compiler\n"
       "                     invocation per distinct program shape -\n"
       "                     keep --count small; degrades to bytecode\n"
