@@ -142,7 +142,6 @@ NBRunResult NBForceExperiment::runSparc(double Cutoff) {
   bindForceExterns(Reg, Mol, forceCostFor(M), 0.0);
   RunOptions Opts;
   Opts.WorkCalls = {"Force"};
-  Opts.Eng = Eng;
   ScalarInterp Interp(P, M, &Reg, Opts);
   setNBForceInputs(Interp.store(), PL, NMax, MaxP, NMax);
   ScalarRunResult R = Interp.run().value();

@@ -60,9 +60,9 @@ public:
   /// Pairlist for \p Cutoff (built once, min-one-partner enforced).
   const md::PairList &pairlist(double Cutoff);
 
-  /// Interpreter engine every run uses (default bytecode). Benches
-  /// forward BenchReporter::engine() so --engine=tree selects the
-  /// tree-walk reference.
+  /// Engine of the SIMD runs (default bytecode). Benches forward
+  /// BenchReporter::engine() so --engine=tree selects the tree-walk
+  /// reference; the Sparc-2 runs always walk the tree.
   void setEngine(interp::Engine E) { Eng = E; }
 
   /// Runs \p Version on \p Machine at \p Cutoff.

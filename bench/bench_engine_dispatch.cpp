@@ -1,6 +1,6 @@
 //===- bench/bench_engine_dispatch.cpp -------------------------*- C++ -*-===//
 //
-// Measures what the lowered execution cores buy over the tree-walk
+// Measures what the lowered execution core buys over the tree-walk
 // interpreter on three interpreter-bound workloads (EXAMPLE, Mandelbrot
 // escape iteration, region growing), each compiled once through the
 // full flattening pipeline and then executed repeatedly under both
@@ -8,12 +8,12 @@
 // utilization) must be identical across engines - they are the gated
 // metrics perf_compare diffs across commits - while the wall-clock
 // ratio tree/bytecode is the measured dispatch speedup (ungated: CI
-// hardware varies).
+// hardware varies). The scalar and MIMD EXAMPLE rows gate the counters
+// of one run of those tree-only baselines.
 //
 //===----------------------------------------------------------------------===//
 
 #include "bench/BenchReporter.h"
-#include "exec/Lower.h"
 #include "interp/MimdInterp.h"
 #include "interp/SimdInterp.h"
 #include "support/Format.h"
@@ -176,11 +176,8 @@ int main(int argc, char **argv) {
   }
   std::fputs(T.render().c_str(), stdout);
 
-  // Scalar and MIMD dispatch: the in-place register discipline ported
-  // from the SIMD bytecode policy means the scalar policy no longer
-  // boxes a ScalVal per instruction, and these rows pin that it pays
-  // off outside the SIMD path too. Counters must agree tree vs
-  // bytecode (gated); the speedups are measured wall-clock (ungated).
+  // The scalar and MIMD baselines have no bytecode: one tree run each
+  // keeps their model counters gated next to the SIMD rows.
   {
     ExampleSpec Spec;
     Spec.K = Smoke ? 256 : 1024;
@@ -190,76 +187,18 @@ int main(int argc, char **argv) {
       S.setInt("K", Spec.K);
       S.setIntArray("L", Spec.L);
     };
-    auto Lowered = std::make_shared<const exec::Program>(
-        exec::lower(Scalar, exec::Mode::Scalar));
     machine::MachineConfig M = machineFor(64);
+    RunOptions Opts;
+    Opts.WorkTargets = {"X"};
 
-    auto scalarOnce = [&](Engine Eng) {
-      RunOptions Opts;
-      Opts.Eng = Eng;
-      Opts.WorkTargets = {"X"};
-      ScalarInterp I(Scalar, M, nullptr, Opts);
-      if (Eng == Engine::Bytecode)
-        I.setCompiled(Lowered);
-      Seed(I.store());
-      return I.run().value();
-    };
-    ScalarRunResult STree = scalarOnce(Engine::Tree);
-    ScalarRunResult SByte = scalarOnce(Engine::Bytecode);
-    if (!sameStats(STree.Stats, SByte.Stats)) {
-      std::fprintf(stderr, "engine_dispatch: scalar: engines disagree "
-                           "on model counters\n");
-      StatsMatch = false;
-    }
-    double ScalarTreeS = Rep.timeSecondsMedian(
-        [&] { scalarOnce(Engine::Tree); }, /*Warmup=*/1, /*Repeats=*/5);
-    double ScalarByteS = Rep.timeSecondsMedian(
-        [&] { scalarOnce(Engine::Bytecode); }, /*Warmup=*/1,
-        /*Repeats=*/5);
-    double ScalarX = ScalarByteS > 0.0 ? ScalarTreeS / ScalarByteS : 0.0;
-    Rep.recordRunStats("scalar_example", SByte.Stats);
-    Rep.record("scalar_example", "tree_wall_seconds", ScalarTreeS, "s",
-               /*Gate=*/false);
-    Rep.record("scalar_example", "bytecode_wall_seconds", ScalarByteS,
-               "s", /*Gate=*/false);
-    Rep.record("scalar_example", "dispatch_speedup", ScalarX, "ratio",
-               /*Gate=*/false, bench::Direction::HigherIsBetter);
+    ScalarInterp SI(Scalar, M, nullptr, Opts);
+    Seed(SI.store());
+    Rep.recordRunStats("scalar_example", SI.run().value().Stats);
 
-    auto mimdOnce = [&](Engine Eng) {
-      RunOptions Opts;
-      Opts.Eng = Eng;
-      Opts.WorkTargets = {"X"};
-      MimdInterp I(Scalar, M, nullptr, /*NumProcs=*/8,
-                   machine::Layout::Cyclic, Opts);
-      return I.run(Seed).value();
-    };
-    MimdRunResult MTree = mimdOnce(Engine::Tree);
-    MimdRunResult MByte = mimdOnce(Engine::Bytecode);
-    if (MTree.TimeSteps != MByte.TimeSteps ||
-        MTree.Seconds != MByte.Seconds) {
-      std::fprintf(stderr, "engine_dispatch: mimd: engines disagree on "
-                           "model counters\n");
-      StatsMatch = false;
-    }
-    double MimdTreeS = Rep.timeSecondsMedian(
-        [&] { mimdOnce(Engine::Tree); }, /*Warmup=*/1, /*Repeats=*/5);
-    double MimdByteS = Rep.timeSecondsMedian(
-        [&] { mimdOnce(Engine::Bytecode); }, /*Warmup=*/1,
-        /*Repeats=*/5);
-    double MimdX = MimdByteS > 0.0 ? MimdTreeS / MimdByteS : 0.0;
-    Rep.record("mimd_example", "time_steps", (double)MByte.TimeSteps,
-               "steps");
-    Rep.record("mimd_example", "tree_wall_seconds", MimdTreeS, "s",
-               /*Gate=*/false);
-    Rep.record("mimd_example", "bytecode_wall_seconds", MimdByteS, "s",
-               /*Gate=*/false);
-    Rep.record("mimd_example", "dispatch_speedup", MimdX, "ratio",
-               /*Gate=*/false, bench::Direction::HigherIsBetter);
-
-    std::printf("\nscalar tree %.4fs bytecode %.4fs (%.2fx); "
-                "mimd(8) tree %.4fs bytecode %.4fs (%.2fx)\n",
-                ScalarTreeS, ScalarByteS, ScalarX, MimdTreeS, MimdByteS,
-                MimdX);
+    MimdInterp MI(Scalar, M, nullptr, /*NumProcs=*/8,
+                  machine::Layout::Cyclic, Opts);
+    Rep.record("mimd_example", "time_steps",
+               (double)MI.run(Seed).value().TimeSteps, "steps");
   }
 
   std::printf("\n%s\n",

@@ -5,11 +5,11 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// Emits a self-contained C++ translation unit from a lowered SIMD-mode
+/// Emits a self-contained C++ translation unit from a lowered
 /// exec::Program: the flattened/coalesced schedule as straight-line
 /// native loops over a fixed lane count, masked commits as blends,
 /// per-lane fuel/deadline polling and trap collection semantically
-/// identical to the interpreter's Core<IsSimd> (the three-engine
+/// identical to the interpreter's exec::detail::Core (the three-engine
 /// fuzz oracle enforces bit-identity of stores, counters, traps, extern
 /// logs and trip histograms).
 ///
@@ -40,12 +40,11 @@ struct MachineConfig;
 
 namespace codegen {
 
-/// Emits the native translation unit for \p EP (which must be a
-/// Mode::Simd lowering of \p IRP) under \p Machine's lane count and
-/// layout. Returns the C++ source, or an empty string when the program
-/// cannot be emitted (scalar mode, an undeclared slot, an opcode
-/// outside the SIMD set) - callers then fall back to the bytecode
-/// engine.
+/// Emits the native translation unit for \p EP (the lowering of \p IRP)
+/// under \p Machine's lane count and layout. Returns the C++ source, or
+/// an empty string when the program cannot be emitted (no lanes, an
+/// undeclared slot, a message index out of range) - callers then fall
+/// back to the bytecode engine.
 std::string emitCpp(const exec::Program &EP, const ir::Program &IRP,
                     const machine::MachineConfig &Machine);
 

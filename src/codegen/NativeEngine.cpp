@@ -84,7 +84,7 @@ Memo &memo() {
 /// Emits + compiles + loads (or replays the memoized outcome).
 SfNativeRunFn entryFor(const exec::Program &EP, const ir::Program &IRP,
                        const machine::MachineConfig &Machine) {
-  if (!jitAvailable() || EP.M != exec::Mode::Simd || Machine.Gran < 1)
+  if (!jitAvailable() || Machine.Gran < 1)
     return nullptr;
   uint64_t Key = programKey(EP, Machine);
   Memo &M = memo();
@@ -240,7 +240,7 @@ bool codegen::runSimdNative(const exec::Program &EP,
   interp::RunStats &Stats = Result.Stats;
   interp::Trace &Tr = Result.Tr;
 
-  // Pre-run setup identical to Core<IsSimd>'s constructor.
+  // Pre-run setup identical to exec::detail::Core's constructor.
   Tr.Watch = Opts.Watch;
   Tr.Lanes = Lanes;
   if (Stats.TripNests.size() != EP.LoopNames.size()) {

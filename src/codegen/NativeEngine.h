@@ -9,13 +9,13 @@
 /// program (CppEmitter), compiles + loads it (JitCache), marshals one
 /// run through the SfContext ABI (NativeAbi.h), and replays every host
 /// side effect - traps, deadline polls, work steps, trip samples,
-/// extern calls - exactly as the interpreter's Core<IsSimd>
+/// extern calls - exactly as the interpreter's exec::detail::Core
 /// would. Observable behavior (stores, stats, traces, traps, per-lane
 /// fault sets, extern call order) is bit-identical to runSimd; the
 /// three-engine fuzz oracle enforces it.
 ///
 /// Every entry point degrades instead of failing: when the build has no
-/// JIT, the program is not emittable (scalar mode, unknown opcode), or
+/// JIT, the program is not emittable (see codegen::emitCpp), or
 /// the compile fails, runSimdNative returns false and the caller runs
 /// the bytecode engine. Selecting Engine::Native is therefore always
 /// safe.

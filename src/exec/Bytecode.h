@@ -5,18 +5,15 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// A compact register-based bytecode the interpreters execute instead of
-/// re-walking the ir:: tree on every iteration. One lowering pass
-/// (exec/Lower.h) turns a program into a flat instruction stream; one
-/// evaluation core (exec/Engine.h), parameterized by an execution policy
-/// (scalar / masked-lockstep SIMD), runs it. The scalar policy also
-/// drives the per-processor engines of the MIMD executor.
-///
-/// Programs are lowered per *mode* because the two tree-walkers differ
-/// deliberately (charge order around gathers, WHERE mask handling,
-/// uniform-control checks, trap wording); the bytecode preserves those
-/// differences instruction by instruction so the tree and bytecode
-/// engines are bit-identical in stores, counters, traps and traces.
+/// A compact register-based bytecode the SIMD interpreter executes
+/// instead of re-walking the ir:: tree on every iteration. One lowering
+/// pass (exec/Lower.h) turns an F90simd program into a flat instruction
+/// stream; one evaluation core (exec/Engine.h) runs it on the
+/// masked-lockstep machine. The bytecode transcribes the SIMD tree
+/// walker instruction by instruction, so the tree and bytecode engines
+/// are bit-identical in stores, counters, traps and traces. The scalar
+/// and MIMD executors have no bytecode: they are exact baselines and
+/// always walk the tree.
 ///
 /// Trap locations are prerendered: lowering tracks the enclosing
 /// statement chain and tags every instruction with an index into a
@@ -35,15 +32,12 @@
 namespace simdflat {
 namespace exec {
 
-/// Which tree-walker the lowering mirrors. Scalar programs also serve
-/// the MIMD executor (one scalar engine per processor).
+/// The dialect a lowering targets. Only the SIMD machine has a
+/// bytecode; the enum stays so exec::lower keeps its two-argument
+/// signature for existing callers.
 enum class Mode {
-  Scalar,
   Simd,
 };
-
-/// Returns "scalar" or "simd".
-const char *modeName(Mode M);
 
 /// Cost-table entry an instruction charges (resolved against the
 /// machine::CostTable at run time, so one lowered program serves every
@@ -100,7 +94,7 @@ enum class Opcode : uint8_t {
   AddR,
   SubR,
   MulR,
-  DivR,       ///< SIMD: silent 0.0 on zero divisor (tree behavior)
+  DivR,       ///< silent 0.0 on zero divisor (tree behavior)
 
   // Intrinsics.
   MaxMin,     ///< reg[A] = max/min(reg[B], reg[C]); D bit0 = IsMax,
@@ -122,38 +116,31 @@ enum class Opcode : uint8_t {
 
   // Control flow.
   Jmp,        ///< pc = D
-  BrFalse,    ///< scalar: if !reg[A].asBool() pc = D
-  UBrFalse,   ///< SIMD: if !uniformBool(reg[A], Msgs[B]) pc = D
+  UBrFalse,   ///< if !uniformBool(reg[A], Msgs[B]) pc = D
   ChargeOp,   ///< charge(cost A) - IF/WHERE/GOTO condition charges
   LoopIter,   ///< countLoopIteration() (limit check + LoopOverhead)
   TrapMsg,    ///< trap(TrapKind A, Msgs[B])
   Halt,       ///< end of program
 
   // Control slots (int64 loop state, indices into a Ctl array).
-  CtlFromReg, ///< Ctl[A] = reg[B]; SIMD checks uniformity with Msgs[C]
+  CtlFromReg, ///< Ctl[A] = reg[B], checked uniform with Msgs[C]
   CtlImm,     ///< Ctl[A] = IntPool[B] (default DO step; uncharged)
   CheckStep,  ///< if Ctl[A] == 0 trap InvalidProgram Msgs[B]
   CtlInc,     ///< Ctl[A] += 1
   TripRec,    ///< record Ctl[A] into loop B's trip histogram (uncharged
               ///< telemetry: no cost, no fuel, no observable effect)
 
-  // DO loops over ctl base A: {A+0 = cur, A+1 = hi, A+2 = step,
-  // A+3 = sliced flag (scalar parallel loops only)}.
-  DoBegin,    ///< scalar: apply the processor slice to a parallel DO
+  // DO loops over ctl base A: {A+0 = cur, A+1 = hi, A+2 = step}.
   DoTest,     ///< if loop condition fails pc = D
   DoStep,     ///< Ctl[A] += Ctl[A+2]
-  DoEnd,      ///< scalar: leave a sliced parallel DO
 
-  // Scalar FORALL over ctl base A: {A+0 = cur, A+1 = hi}.
-  FaTest,     ///< if Ctl[A] > Ctl[A+1] pc = D
-
-  // SIMD FORALL over ctl base B: {B+0 = lo, B+1 = hi, B+2 = layer,
+  // FORALL over ctl base B: {B+0 = lo, B+1 = hi, B+2 = layer,
   // B+3 = layers}; A names the replicated index slot.
   FaBegin,      ///< replicated-index check, empty-range exit to D
   FaLayerTest,  ///< if Ctl[A+2] >= Ctl[A+3] pc = D
   FaLayerMask,  ///< set per-lane ids, push the existence mask
 
-  // WHERE masks (SIMD; also the FORALL user mask).
+  // WHERE masks (also the FORALL user mask).
   WherePush,  ///< build mask from reg[A], charge LogicOp, pushAnd
   WhereFlip,  ///< charge LogicOp, flipTop (ELSEWHERE)
   MaskPop,    ///< pop one mask level
@@ -178,7 +165,6 @@ struct Instr {
 /// Lowered code is machine-independent (costs and layouts resolve at run
 /// time), so one Program is shared across runs, lanes and machines.
 struct Program {
-  Mode M = Mode::Scalar;
   /// Source program name (fuel trap messages embed it).
   std::string ProgName;
   std::vector<Instr> Code;

@@ -10,10 +10,6 @@
 using namespace simdflat;
 using namespace simdflat::exec;
 
-const char *exec::modeName(Mode M) {
-  return M == Mode::Scalar ? "scalar" : "simd";
-}
-
 const char *exec::opcodeName(Opcode Op) {
   switch (Op) {
   case Opcode::LdInt:
@@ -92,8 +88,6 @@ const char *exec::opcodeName(Opcode Op) {
     return "call";
   case Opcode::Jmp:
     return "jmp";
-  case Opcode::BrFalse:
-    return "br.false";
   case Opcode::UBrFalse:
     return "ubr.false";
   case Opcode::ChargeOp:
@@ -114,16 +108,10 @@ const char *exec::opcodeName(Opcode Op) {
     return "ctl.inc";
   case Opcode::TripRec:
     return "trip.rec";
-  case Opcode::DoBegin:
-    return "do.begin";
   case Opcode::DoTest:
     return "do.test";
   case Opcode::DoStep:
     return "do.step";
-  case Opcode::DoEnd:
-    return "do.end";
-  case Opcode::FaTest:
-    return "fa.test";
   case Opcode::FaBegin:
     return "fa.begin";
   case Opcode::FaLayerTest:
@@ -178,9 +166,8 @@ std::string annotate(const Program &P, const Instr &I) {
     // B is the uniformity-violation message index.
     return " ; \"" + P.Msgs[I.B] + "\"";
   case Opcode::CtlFromReg:
-    // C names the uniformity message in simd mode; scalar lowering
-    // leaves it -1 (no message, nothing to symbolize).
-    return I.C >= 0 ? " ; \"" + P.Msgs[I.C] + "\"" : std::string();
+    // C names the uniformity message.
+    return " ; \"" + P.Msgs[I.C] + "\"";
   case Opcode::TripRec:
     return " ; " + P.LoopNames[I.B];
   default:
@@ -192,8 +179,8 @@ std::string annotate(const Program &P, const Instr &I) {
 
 std::string exec::disassemble(const Program &P) {
   std::string Out;
-  Out += "program '" + P.ProgName + "' mode=" + modeName(P.M) +
-         " regs=" + std::to_string(P.NumRegs) +
+  Out += "program '" + P.ProgName +
+         "' regs=" + std::to_string(P.NumRegs) +
          " ctl=" + std::to_string(P.NumCtl) +
          " code=" + std::to_string(P.Code.size()) + "\n";
   for (size_t PC = 0; PC < P.Code.size(); ++PC) {

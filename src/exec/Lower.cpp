@@ -7,7 +7,6 @@
 #include "support/Error.h"
 
 #include <cassert>
-#include <map>
 #include <unordered_map>
 
 using namespace simdflat;
@@ -18,8 +17,7 @@ namespace {
 
 class Lowering {
 public:
-  Lowering(const ir::Program &P, Mode M) : Prog(P) {
-    Out.M = M;
+  explicit Lowering(const ir::Program &P) : Prog(P) {
     Out.ProgName = P.name();
   }
 
@@ -67,8 +65,6 @@ private:
     Out.LoopDepths.push_back(LoopDepth);
     return Id;
   }
-
-  bool simd() const { return Out.M == Mode::Simd; }
 
   int32_t loc() {
     if (LocDirty) {
@@ -366,28 +362,20 @@ private:
   }
 
   void lowerDo(const DoStmt &D) {
-    int32_t C = allocCtl(5); // base 4 loop state + trip counter at C+4
+    int32_t C = allocCtl(4); // cur/hi/step + trip counter at C+3
     int32_t LoopId = newLoop("do " + D.indexVar());
     evalInto(D.lo(), 0);
-    emit(Opcode::CtlFromReg, C + 0, 0,
-         simd() ? internMsg("DO lower bound") : -1);
+    emit(Opcode::CtlFromReg, C + 0, 0, internMsg("DO lower bound"));
     evalInto(D.hi(), 0);
-    emit(Opcode::CtlFromReg, C + 1, 0,
-         simd() ? internMsg("DO upper bound") : -1);
+    emit(Opcode::CtlFromReg, C + 1, 0, internMsg("DO upper bound"));
     if (D.step()) {
       evalInto(*D.step(), 0);
-      emit(Opcode::CtlFromReg, C + 2, 0,
-           simd() ? internMsg("DO step") : -1);
+      emit(Opcode::CtlFromReg, C + 2, 0, internMsg("DO step"));
     } else {
       emit(Opcode::CtlImm, C + 2, internInt(1));
     }
-    emit(Opcode::CheckStep, C + 2,
-         internMsg(simd() ? std::string("DO step of zero")
-                          : "DO " + D.indexVar() + " has a step of zero"));
-    emit(Opcode::CtlImm, C + 4, internInt(0));
-    bool Parallel = !simd() && D.isParallel();
-    if (Parallel)
-      emit(Opcode::DoBegin, C);
+    emit(Opcode::CheckStep, C + 2, internMsg("DO step of zero"));
+    emit(Opcode::CtlImm, C + 3, internInt(0));
     int32_t IvSlot = internSlot(D.indexVar());
     assert(declOf(D.indexVar()).isScalar() &&
            declOf(D.indexVar()).Kind != ScalarKind::Real &&
@@ -395,7 +383,7 @@ private:
     int32_t Head = here();
     size_t Test = emit(Opcode::DoTest, C);
     emit(Opcode::LoopIter);
-    emit(Opcode::CtlInc, C + 4);
+    emit(Opcode::CtlInc, C + 3);
     emit(Opcode::SetIdx, IvSlot, C + 0);
     ++LoopDepth;
     lowerBody(D.body());
@@ -403,47 +391,14 @@ private:
     emit(Opcode::DoStep, C);
     emit(Opcode::Jmp, 0, 0, 0, Head);
     patch(Test, here());
-    emit(Opcode::TripRec, C + 4, LoopId);
+    emit(Opcode::TripRec, C + 3, LoopId);
     // Fortran leaves the index one step past the last iteration; the
     // loop counter exits holding exactly Lo + Trips * Step.
     emit(Opcode::SetIdx, IvSlot, C + 0);
-    if (Parallel)
-      emit(Opcode::DoEnd, C);
     releaseCtl(C);
   }
 
-  void lowerForallScalar(const ForallStmt &F) {
-    int32_t C = allocCtl(3); // lo/hi + trip counter at C+2
-    int32_t LoopId = newLoop("forall " + F.indexVar());
-    evalInto(F.lo(), 0);
-    emit(Opcode::CtlFromReg, C + 0, 0, -1);
-    evalInto(F.hi(), 0);
-    emit(Opcode::CtlFromReg, C + 1, 0, -1);
-    emit(Opcode::CtlImm, C + 2, internInt(0));
-    int32_t IvSlot = internSlot(F.indexVar());
-    int32_t Head = here();
-    size_t Test = emit(Opcode::FaTest, C);
-    emit(Opcode::LoopIter);
-    emit(Opcode::CtlInc, C + 2);
-    emit(Opcode::SetIdx, IvSlot, C + 0);
-    size_t MaskBr = 0;
-    if (F.mask()) {
-      evalInto(*F.mask(), 0);
-      MaskBr = emit(Opcode::BrFalse, 0);
-    }
-    ++LoopDepth;
-    lowerBody(F.body());
-    --LoopDepth;
-    if (F.mask())
-      patch(MaskBr, here());
-    emit(Opcode::CtlInc, C + 0);
-    emit(Opcode::Jmp, 0, 0, 0, Head);
-    patch(Test, here());
-    emit(Opcode::TripRec, C + 2, LoopId);
-    releaseCtl(C);
-  }
-
-  void lowerForallSimd(const ForallStmt &F) {
+  void lowerForall(const ForallStmt &F) {
     int32_t C = allocCtl(5); // base 4 layer state + trip counter at C+4
     int32_t LoopId = newLoop("forall " + F.indexVar());
     evalInto(F.lo(), 0);
@@ -490,11 +445,7 @@ private:
     patch(Over, here());
   }
 
-  void lowerStmt(const Stmt &S, const Body &Enclosing,
-                 const std::map<int, size_t> &FirstLabelStmt,
-                 std::map<int, int32_t> &LabelCode,
-                 std::vector<std::pair<size_t, int>> &GotoFixups,
-                 size_t StmtIdx) {
+  void lowerStmt(const Stmt &S) {
     switch (S.kind()) {
     case Stmt::Kind::Assign:
       lowerAssign(*cast<AssignStmt>(&S));
@@ -503,22 +454,12 @@ private:
       const auto *I = cast<IfStmt>(&S);
       emit(Opcode::ChargeOp, static_cast<int32_t>(CostKind::CmpOp));
       evalInto(I->cond(), 0);
-      size_t Br = simd()
-                      ? emit(Opcode::UBrFalse, 0, internMsg("IF condition"))
-                      : emit(Opcode::BrFalse, 0);
+      size_t Br = emit(Opcode::UBrFalse, 0, internMsg("IF condition"));
       lowerCondBodies(Br, I->thenBody(), I->elseBody());
       return;
     }
     case Stmt::Kind::Where: {
       const auto *W = cast<WhereStmt>(&S);
-      if (!simd()) {
-        // Single lane: WHERE degenerates to IF (but charges LogicOp).
-        emit(Opcode::ChargeOp, static_cast<int32_t>(CostKind::LogicOp));
-        evalInto(W->cond(), 0);
-        size_t Br = emit(Opcode::BrFalse, 0);
-        lowerCondBodies(Br, W->thenBody(), W->elseBody());
-        return;
-      }
       evalInto(W->cond(), 0);
       emit(Opcode::WherePush, 0);
       lowerBody(W->thenBody());
@@ -539,9 +480,7 @@ private:
       emit(Opcode::CtlImm, C, internInt(0));
       int32_t Head = here();
       evalInto(W->cond(), 0);
-      size_t Br =
-          simd() ? emit(Opcode::UBrFalse, 0, internMsg("WHILE condition"))
-                 : emit(Opcode::BrFalse, 0);
+      size_t Br = emit(Opcode::UBrFalse, 0, internMsg("WHILE condition"));
       emit(Opcode::LoopIter);
       emit(Opcode::CtlInc, C);
       ++LoopDepth;
@@ -566,110 +505,45 @@ private:
       --LoopDepth;
       evalInto(R->untilCond(), 0);
       // Loop again while the UNTIL condition is false.
-      if (simd())
-        emit(Opcode::UBrFalse, 0, internMsg("UNTIL condition"), 0, Head);
-      else
-        emit(Opcode::BrFalse, 0, 0, 0, Head);
+      emit(Opcode::UBrFalse, 0, internMsg("UNTIL condition"), 0, Head);
       emit(Opcode::TripRec, C, LoopId);
       releaseCtl(C);
       return;
     }
     case Stmt::Kind::Forall:
-      if (simd())
-        lowerForallSimd(*cast<ForallStmt>(&S));
-      else
-        lowerForallScalar(*cast<ForallStmt>(&S));
+      lowerForall(*cast<ForallStmt>(&S));
       return;
     case Stmt::Kind::Call: {
       const auto *C = cast<CallStmt>(&S);
       lowerCall(C->callee(), C->args(), -1, ScalarKind::Int);
       return;
     }
-    case Stmt::Kind::Label: {
-      if (simd()) {
-        emit(Opcode::TrapMsg,
-             static_cast<int32_t>(interp::TrapKind::InvalidProgram),
-             simdGotoMsg());
-        return;
-      }
-      const auto *L = cast<LabelStmt>(&S);
-      auto It = FirstLabelStmt.find(L->label());
-      if (It != FirstLabelStmt.end() && It->second == StmtIdx)
-        LabelCode[L->label()] = here();
+    case Stmt::Kind::Label:
+    case Stmt::Kind::Goto:
+      // Like the tree walker: unstructured control traps when reached.
+      emit(Opcode::TrapMsg,
+           static_cast<int32_t>(interp::TrapKind::InvalidProgram),
+           internMsg("GOTO-form control flow is not executable on the "
+                     "SIMD machine; run the front end's loop recovery "
+                     "first"));
       return;
-    }
-    case Stmt::Kind::Goto: {
-      const auto *G = cast<GotoStmt>(&S);
-      if (simd()) {
-        emit(Opcode::TrapMsg,
-             static_cast<int32_t>(interp::TrapKind::InvalidProgram),
-             simdGotoMsg());
-        return;
-      }
-      size_t Skip = 0;
-      if (G->cond()) {
-        emit(Opcode::ChargeOp, static_cast<int32_t>(CostKind::CmpOp));
-        evalInto(*G->cond(), 0);
-        Skip = emit(Opcode::BrFalse, 0);
-      }
-      emit(Opcode::LoopIter);
-      auto It = FirstLabelStmt.find(G->label());
-      if (It == FirstLabelStmt.end()) {
-        // The tree only discovers the missing label when the branch is
-        // taken - after the loop-iteration charge. Same here.
-        emit(Opcode::TrapMsg,
-             static_cast<int32_t>(interp::TrapKind::InvalidProgram),
-             internMsg("GOTO target not in the same body"));
-      } else {
-        auto Known = LabelCode.find(G->label());
-        if (Known != LabelCode.end())
-          emit(Opcode::Jmp, 0, 0, 0, Known->second);
-        else
-          GotoFixups.emplace_back(emit(Opcode::Jmp), G->label());
-      }
-      if (G->cond())
-        patch(Skip, here());
-      (void)Enclosing;
-      return;
-    }
     }
     SIMDFLAT_UNREACHABLE("bad Stmt kind");
   }
 
-  int32_t simdGotoMsg() {
-    return internMsg("GOTO-form control flow is not executable on the "
-                     "SIMD machine; run the front end's loop recovery "
-                     "first");
-  }
-
   void lowerBody(const Body &B) {
-    // The tree resolves a GOTO to the *first* matching label in its own
-    // body; that search is static, so resolve it here.
-    std::map<int, size_t> FirstLabelStmt;
-    if (!simd())
-      for (size_t I = 0; I < B.size(); ++I)
-        if (const auto *L = dyn_cast<LabelStmt>(B[I].get()))
-          if (!FirstLabelStmt.count(L->label()))
-            FirstLabelStmt[L->label()] = I;
-    std::map<int, int32_t> LabelCode;
-    std::vector<std::pair<size_t, int>> GotoFixups;
-    for (size_t I = 0; I < B.size(); ++I) {
-      StmtStack.push_back(B[I].get());
+    for (const StmtPtr &S : B) {
+      StmtStack.push_back(S.get());
       LocDirty = true;
-      lowerStmt(*B[I], B, FirstLabelStmt, LabelCode, GotoFixups, I);
+      lowerStmt(*S);
       StmtStack.pop_back();
       LocDirty = true;
-    }
-    for (const auto &[InstrIdx, Label] : GotoFixups) {
-      auto It = LabelCode.find(Label);
-      assert(It != LabelCode.end() && "forward GOTO to unresolved label");
-      patch(InstrIdx, It->second);
     }
   }
 };
 
 } // namespace
 
-exec::Program exec::lower(const ir::Program &P, Mode M) {
-  return Lowering(P, M).run();
+exec::Program exec::lower(const ir::Program &P, Mode) {
+  return Lowering(P).run();
 }

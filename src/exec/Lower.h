@@ -5,19 +5,18 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// Lowers an ir::Program into an exec::Program for one execution mode.
-/// The lowering is a direct transcription of the corresponding
-/// tree-walker: every charge(), trap check and store the tree performs
-/// has a bytecode instruction in the same order, so the engines are
-/// differentially identical (stores, RunStats, traces, trap kind + lane
-/// set + location + detail).
+/// Lowers an F90simd ir::Program into an exec::Program. The lowering is
+/// a direct transcription of the SIMD tree walker: every charge(), trap
+/// check and store the tree performs has a bytecode instruction in the
+/// same order, so the engines are differentially identical (stores,
+/// RunStats, traces, trap kind + lane set + location + detail).
 ///
 /// Register discipline: an expression lowered at depth d leaves its
 /// result in register d and evaluates operands into d+1, d+2, ... -
 /// destinations never alias operands, which keeps the SIMD handlers
-/// free of read/write hazards on the lane vectors. GOTO targets resolve
-/// statically (the tree's label search is purely syntactic); statement
-/// locations are prerendered into a deduplicated pool.
+/// free of read/write hazards on the lane vectors. Labels and GOTOs
+/// lower to the tree's InvalidProgram trap; statement locations are
+/// prerendered into a deduplicated pool.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -33,9 +32,9 @@ class Program;
 
 namespace exec {
 
-/// Lowers \p P for \p M. Scalar-mode programs drive the scalar engine
-/// and (via slicing) the per-processor MIMD engines; Simd-mode programs
-/// require the F90simd dialect at run time, like the tree-walker.
+/// Lowers \p P for the SIMD machine; \p M has the single value
+/// Mode::Simd. Running the result requires the F90simd dialect, like
+/// the tree walker.
 Program lower(const ir::Program &P, Mode M);
 
 } // namespace exec

@@ -5,6 +5,7 @@
 #include "frontend/Lexer.h"
 #include "support/Format.h"
 
+#include <algorithm>
 #include <cassert>
 #include <cctype>
 #include <map>
@@ -62,6 +63,13 @@ private:
   /// First definition / first GOTO reference of each label number.
   std::map<int, SourceLoc> DefinedLabels;
   std::map<int, SourceLoc> GotoTargets;
+  /// Nesting bookkeeping (see MaxNestingDepth): expression levels open
+  /// on the parser's own stack, the height of the expression the last
+  /// expression parser returned, and the open statement bodies.
+  int OpenExprLevels = 0;
+  int ExprHeight = 0;
+  int OpenBodies = 0;
+  bool TooDeep = false;
 
   //--- Token helpers ----------------------------------------------------
 
@@ -77,7 +85,36 @@ private:
   bool atKeyword(const char *KW) const { return cur().isKeyword(KW); }
 
   void error(const std::string &Msg) {
-    Result.Diags.error(cur().Loc, Msg);
+    if (!TooDeep)
+      Result.Diags.error(cur().Loc, Msg);
+  }
+
+  /// The input nests past MaxNestingDepth: report it once, then move
+  /// the cursor to end of input so every parse loop unwinds at once
+  /// (later diagnostics are suppressed).
+  void tooDeep() {
+    error(formatf("nesting deeper than %d levels", MaxNestingDepth));
+    TooDeep = true;
+    Pos = Toks.size() - 1;
+  }
+
+  /// Opens one expression level on the parser's stack; false (after
+  /// tooDeep) when that would pass the bound. Pair with closeLevel.
+  bool openLevel() {
+    if (OpenExprLevels >= MaxNestingDepth) {
+      tooDeep();
+      return false;
+    }
+    ++OpenExprLevels;
+    return true;
+  }
+  void closeLevel() { --OpenExprLevels; }
+
+  /// Records the height of the expression about to be returned.
+  void setHeight(int H) {
+    ExprHeight = H;
+    if (H > MaxNestingDepth)
+      tooDeep();
   }
 
   void warning(SourceLoc Loc, const std::string &Msg) {
@@ -251,12 +288,20 @@ private:
 
   //--- Expressions ------------------------------------------------------
 
-  ExprPtr badExpr() { return std::make_unique<IntLit>(0); }
+  ExprPtr badExpr() {
+    ExprHeight = 0;
+    return std::make_unique<IntLit>(0);
+  }
 
   ExprPtr parseExpr() { return parseOr(); }
 
+  /// Height of a binary node whose left operand has height \p HL and
+  /// whose right operand was just parsed.
+  int linkHeight(int HL) const { return std::max(HL, ExprHeight) + 1; }
+
   ExprPtr parseOr() {
     ExprPtr L = parseAnd();
+    int H = ExprHeight;
     while (cur().Kind == TokKind::DotOr) {
       advance();
       ExprPtr R = parseAnd();
@@ -264,12 +309,14 @@ private:
       checkBool(*R, ".OR.");
       L = std::make_unique<BinaryExpr>(BinOp::Or, std::move(L),
                                        std::move(R), ScalarKind::Bool);
+      setHeight(H = linkHeight(H));
     }
     return L;
   }
 
   ExprPtr parseAnd() {
     ExprPtr L = parseNot();
+    int H = ExprHeight;
     while (cur().Kind == TokKind::DotAnd) {
       advance();
       ExprPtr R = parseNot();
@@ -277,6 +324,7 @@ private:
       checkBool(*R, ".AND.");
       L = std::make_unique<BinaryExpr>(BinOp::And, std::move(L),
                                        std::move(R), ScalarKind::Bool);
+      setHeight(H = linkHeight(H));
     }
     return L;
   }
@@ -284,8 +332,12 @@ private:
   ExprPtr parseNot() {
     if (cur().Kind == TokKind::DotNot) {
       advance();
+      if (!openLevel())
+        return badExpr();
       ExprPtr E = parseNot();
+      closeLevel();
       checkBool(*E, ".NOT.");
+      setHeight(ExprHeight + 1);
       return std::make_unique<UnaryExpr>(UnOp::Not, std::move(E),
                                          ScalarKind::Bool);
     }
@@ -294,6 +346,7 @@ private:
 
   ExprPtr parseCmp() {
     ExprPtr L = parseAdd();
+    int H = ExprHeight;
     BinOp Op;
     switch (cur().Kind) {
     case TokKind::Eq:
@@ -324,12 +377,14 @@ private:
          RB = R->type() == ScalarKind::Bool;
     if ((LB || RB) && !(BoolsOK && LB && RB))
       error("cannot order logical values");
+    setHeight(linkHeight(H));
     return std::make_unique<BinaryExpr>(Op, std::move(L), std::move(R),
                                         ScalarKind::Bool);
   }
 
   ExprPtr parseAdd() {
     ExprPtr L = parseMul();
+    int H = ExprHeight;
     while (cur().Kind == TokKind::Plus || cur().Kind == TokKind::Minus) {
       BinOp Op = cur().Kind == TokKind::Plus ? BinOp::Add : BinOp::Sub;
       advance();
@@ -338,12 +393,14 @@ private:
       checkNumeric(*R, "+/-");
       ScalarKind Ty = promote(L->type(), R->type());
       L = std::make_unique<BinaryExpr>(Op, std::move(L), std::move(R), Ty);
+      setHeight(H = linkHeight(H));
     }
     return L;
   }
 
   ExprPtr parseMul() {
     ExprPtr L = parseUnary();
+    int H = ExprHeight;
     while (cur().Kind == TokKind::Star || cur().Kind == TokKind::Slash) {
       BinOp Op = cur().Kind == TokKind::Star ? BinOp::Mul : BinOp::Div;
       advance();
@@ -352,6 +409,7 @@ private:
       checkNumeric(*R, "*//");
       ScalarKind Ty = promote(L->type(), R->type());
       L = std::make_unique<BinaryExpr>(Op, std::move(L), std::move(R), Ty);
+      setHeight(H = linkHeight(H));
     }
     return L;
   }
@@ -359,9 +417,13 @@ private:
   ExprPtr parseUnary() {
     if (cur().Kind == TokKind::Minus) {
       advance();
+      if (!openLevel())
+        return badExpr();
       ExprPtr E = parseUnary();
+      closeLevel();
       checkNumeric(*E, "unary -");
       ScalarKind Ty = E->type();
+      setHeight(ExprHeight + 1);
       return std::make_unique<UnaryExpr>(UnOp::Neg, std::move(E), Ty);
     }
     return parsePrimary();
@@ -383,6 +445,7 @@ private:
   }
 
   ExprPtr parsePrimary() {
+    ExprHeight = 0;
     switch (cur().Kind) {
     case TokKind::IntLiteral: {
       auto E = std::make_unique<IntLit>(cur().IntValue);
@@ -402,8 +465,12 @@ private:
       return std::make_unique<BoolLit>(false);
     case TokKind::LParen: {
       advance();
+      if (!openLevel())
+        return badExpr();
       ExprPtr E = parseExpr();
+      closeLevel();
       expect(TokKind::RParen, "')'");
+      setHeight(ExprHeight + 1);
       return E;
     }
     case TokKind::Identifier:
@@ -415,22 +482,30 @@ private:
     }
   }
 
+  /// Parses `(a, b, ...)`; the list is one level above its deepest
+  /// argument.
   std::vector<ExprPtr> parseArgList() {
     std::vector<ExprPtr> Args;
     advance(); // '('
+    if (!openLevel())
+      return Args;
+    int H = 0;
     if (cur().Kind == TokKind::RParen) {
       advance();
-      return Args;
-    }
-    while (true) {
-      Args.push_back(parseExpr());
-      if (cur().Kind == TokKind::Comma) {
-        advance();
-        continue;
+    } else {
+      while (true) {
+        Args.push_back(parseExpr());
+        H = std::max(H, ExprHeight);
+        if (cur().Kind == TokKind::Comma) {
+          advance();
+          continue;
+        }
+        break;
       }
-      break;
+      expect(TokKind::RParen, "')'");
     }
-    expect(TokKind::RParen, "')'");
+    closeLevel();
+    setHeight(H + 1);
     return Args;
   }
 
@@ -588,23 +663,31 @@ private:
   //--- Statements -------------------------------------------------------
 
   /// Parses statements until one of \p Terminators (keyword spellings)
-  /// is at the cursor (not consumed).
+  /// is at the cursor (not consumed). The program body is statement
+  /// level 0; each block statement's body is one level deeper.
   Body parseBody(std::initializer_list<const char *> Terminators) {
     Body B;
+    if (OpenBodies > MaxNestingDepth) {
+      tooDeep();
+      return B;
+    }
+    ++OpenBodies;
     while (true) {
       skipNewlines();
       if (cur().Kind == TokKind::Eof)
-        return B;
+        break;
       bool AtTerm = false;
       for (const char *T : Terminators)
         AtTerm |= atKeyword(T);
       if (AtTerm)
-        return B;
+        break;
       if (StmtPtr S = parseStmt())
         B.push_back(std::move(S));
       else
         recoverToNewline();
     }
+    --OpenBodies;
+    return B;
   }
 
   StmtPtr parseStmt() {

@@ -24,7 +24,8 @@
 /// REPEAT/UNTIL, FORALL, IF/WHERE, CALL, labels and (conditional)
 /// GOTOs. Semantic checks: declared symbols, array ranks, index and
 /// operand types, call targets. Errors are collected (with source
-/// locations) and parsing continues at the next statement.
+/// locations) and parsing continues at the next statement - except past
+/// MaxNestingDepth, where the parser reports once and stops.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -39,6 +40,17 @@
 
 namespace simdflat {
 namespace frontend {
+
+/// Deepest nesting the parser accepts, counted separately for
+/// expressions and statements. An expression's depth is the height of
+/// its tree, where a parenthesis, a subscript or argument list, a unary
+/// operator and each link of an operator chain add one level; a
+/// statement's depth is the number of block statements (IF, WHERE, DO,
+/// WHILE, REPEAT, FORALL) enclosing it. Every pass after the parser
+/// recurses over the tree, so an input nested past this bound is an
+/// error rather than a stack overflow. It is far above any real
+/// program; accepted trees keep their shape.
+constexpr int MaxNestingDepth = 256;
 
 /// Outcome of parsing: the program (present even with recoverable
 /// errors, for tooling) plus diagnostics. Warnings alone do not make

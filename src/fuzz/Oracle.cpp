@@ -61,7 +61,7 @@ namespace {
 constexpr int64_t CoalesceMaxOuter = 16;
 constexpr int64_t CoalesceMaxTotal = 512;
 
-RunOptions runOptionsFor(const FuzzCase &C, Engine E) {
+RunOptions runOptionsFor(const FuzzCase &C) {
   RunOptions O;
   O.WorkTargets = {"X", "A", "C", "R"};
   O.WorkCalls = {ProbeFn, NoteSub};
@@ -73,7 +73,6 @@ RunOptions runOptionsFor(const FuzzCase &C, Engine E) {
   // backstop keeps shrinker candidates that loop forever (the increment
   // was deleted) from stalling the whole run on the default 2e8 guard.
   O.MaxLoopIterations = 100'000;
-  O.Eng = E;
   return O;
 }
 
@@ -130,13 +129,12 @@ void breakGuardCache(Body &B) {
 }
 
 VariantOutcome runScalarOn(const std::string &Name, const ir::Program &P,
-                           const FuzzCase &C, const ir::Program &Orig,
-                           Engine E) {
+                           const FuzzCase &C, const ir::Program &Orig) {
   VariantOutcome Out;
   Out.Variant = Name;
   ExternRegistry Reg = makeFuzzRegistry(Out.ExternLog, C.ExternTrapArg);
   ScalarInterp I(P, machine::MachineConfig::sparc2(), &Reg,
-                 runOptionsFor(C, E));
+                 runOptionsFor(C));
   seedStore(I.store(), C);
   RunOutcome<ScalarRunResult> R = I.run();
   if (!R) {
@@ -144,35 +142,24 @@ VariantOutcome runScalarOn(const std::string &Name, const ir::Program &P,
     return Out;
   }
   Out.BodyCount = R->Stats.WorkSteps;
-  Out.Stats = R->Stats;
   captureArrays(I.store(), Orig, Out);
   return Out;
 }
 
-VariantOutcome runMimdOn(const FuzzCase &C, const OracleOptions &Opts,
-                         Engine E) {
+VariantOutcome runMimdOn(const FuzzCase &C, const OracleOptions &Opts) {
   VariantOutcome Out;
   Out.Variant = "mimd/original";
   ExternRegistry Reg = makeFuzzRegistry(Out.ExternLog, C.ExternTrapArg);
   MimdInterp I(C.Prog, machine::MachineConfig::sparc2(), &Reg,
-               Opts.MimdProcs, machine::Layout::Block,
-               runOptionsFor(C, E));
+               Opts.MimdProcs, machine::Layout::Block, runOptionsFor(C));
   RunOutcome<MimdRunResult> R =
       I.run([&](DataStore &S) { seedStore(S, C); });
   if (!R) {
     Out.T = R.error();
     return Out;
   }
-  for (const RunStats &S : R->PerProc) {
+  for (const RunStats &S : R->PerProc)
     Out.BodyCount += S.WorkSteps;
-    Out.Stats.WorkSteps += S.WorkSteps;
-    Out.Stats.Instructions += S.Instructions;
-    Out.Stats.WorkActiveLanes += S.WorkActiveLanes;
-    Out.Stats.WorkTotalLanes += S.WorkTotalLanes;
-    Out.Stats.CommAccesses += S.CommAccesses;
-    Out.Stats.Cycles += S.Cycles;
-    Out.Stats.Seconds += S.Seconds;
-  }
   captureArrays(*R->Merged, C.Prog, Out);
   return Out;
 }
@@ -189,7 +176,9 @@ VariantOutcome runSimdOn(const std::string &Name, const ir::Program &P,
   M.Gran = Opts.SimdGran;
   M.DataLayout = machine::Layout::Cyclic;
   ExternRegistry Reg = makeFuzzRegistry(Out.ExternLog, C.ExternTrapArg);
-  SimdInterp I(P, M, &Reg, runOptionsFor(C, E));
+  RunOptions RO = runOptionsFor(C);
+  RO.Eng = E;
+  SimdInterp I(P, M, &Reg, std::move(RO));
   if (Code)
     I.setCompiled(std::move(Code));
   seedStore(I.store(), C);
@@ -381,13 +370,12 @@ void compareVariant(const VariantOutcome &Ref, const VariantOutcome &V,
 OracleResult fuzz::runOracle(const FuzzCase &C, const OracleOptions &Opts) {
   OracleResult Res;
 
-  // Every variant runs twice - tree-walk reference engine, then the
-  // bytecode engine - three times with Opts.Native (the JIT'd native
-  // tier) - and each lowered engine is held to exact equality with the
-  // tree before the bytecode outcome joins the cross-executor
-  // comparison below. (On variants without SIMD lanes Native takes the
-  // bytecode path by design; the tuple still pins the dispatch
-  // plumbing.)
+  // Every SIMD variant runs twice - tree-walk reference engine, then
+  // the bytecode engine - three times with Opts.Native (the JIT'd
+  // native tier) - and each lowered engine is held to exact equality
+  // with the tree before the bytecode outcome joins the cross-executor
+  // comparison below. Scalar and MIMD variants have only the tree
+  // walker and run once.
   auto pushTwin = [&Res, &Opts](auto Make) {
     VariantOutcome TreeOut = Make(Engine::Tree);
     VariantOutcome ByteOut = Make(Engine::Bytecode);
@@ -404,38 +392,29 @@ OracleResult fuzz::runOracle(const FuzzCase &C, const OracleOptions &Opts) {
   };
 
   // Reference: the scalar engine on the untouched tree (GOTOs and all).
-  pushTwin([&](Engine E) {
-    return runScalarOn("scalar/original", C.Prog, C, C.Prog, E);
-  });
+  Res.Variants.push_back(runScalarOn("scalar/original", C.Prog, C, C.Prog));
 
   // Scalar engine over each explicit rewrite stage. Order-preserving,
   // so these must reproduce the extern log exactly.
   {
     ir::Program P = cloneProgram(C.Prog);
     frontend::recoverGotoLoops(P);
-    pushTwin([&](Engine E) {
-      return runScalarOn("scalar/goto-recovered", P, C, C.Prog, E);
-    });
+    Res.Variants.push_back(
+        runScalarOn("scalar/goto-recovered", P, C, C.Prog));
 
     transform::normalizeLoops(P);
-    pushTwin([&](Engine E) {
-      return runScalarOn("scalar/normalized", P, C, C.Prog, E);
-    });
+    Res.Variants.push_back(runScalarOn("scalar/normalized", P, C, C.Prog));
 
     transform::introduceGuards(P);
     if (Opts.BreakGuardSideEffectCache)
       breakGuardCache(P.body());
-    pushTwin([&](Engine E) {
-      return runScalarOn("scalar/guard-intro", P, C, C.Prog, E);
-    });
+    Res.Variants.push_back(runScalarOn("scalar/guard-intro", P, C, C.Prog));
   }
   {
     ir::Program P = cloneProgram(C.Prog);
     frontend::recoverGotoLoops(P);
     transform::simplifyProgram(P);
-    pushTwin([&](Engine E) {
-      return runScalarOn("scalar/simplified", P, C, C.Prog, E);
-    });
+    Res.Variants.push_back(runScalarOn("scalar/simplified", P, C, C.Prog));
   }
   {
     ir::Program P = cloneProgram(C.Prog);
@@ -443,9 +422,7 @@ OracleResult fuzz::runOracle(const FuzzCase &C, const OracleOptions &Opts) {
     transform::CoalesceResult CR =
         transform::coalesceNest(P, CoalesceMaxOuter, CoalesceMaxTotal);
     if (CR.Changed) {
-      pushTwin([&](Engine E) {
-        return runScalarOn("scalar/coalesced", P, C, C.Prog, E);
-      });
+      Res.Variants.push_back(runScalarOn("scalar/coalesced", P, C, C.Prog));
     } else {
       VariantOutcome Out;
       Out.Variant = "scalar/coalesced";
@@ -456,7 +433,7 @@ OracleResult fuzz::runOracle(const FuzzCase &C, const OracleOptions &Opts) {
   }
 
   // Parallel executors (lane/processor order differs legitimately).
-  pushTwin([&](Engine E) { return runMimdOn(C, Opts, E); });
+  Res.Variants.push_back(runMimdOn(C, Opts));
   {
     ir::Program P = cloneProgram(C.Prog);
     frontend::recoverGotoLoops(P);

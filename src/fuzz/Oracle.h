@@ -86,9 +86,9 @@ struct VariantOutcome {
   /// Work-statement executions: scalar/MIMD count executions, SIMD
   /// counts active lanes over work steps - the same quantity.
   int64_t BodyCount = 0;
-  /// Full interpreter counters (MIMD: summed over processors); used by
-  /// the tree-vs-bytecode twin comparison, which demands exact equality
-  /// down to the charged cycle count.
+  /// Full interpreter counters of a SIMD variant; used by the
+  /// tree-vs-lowered engine comparison, which demands exact equality
+  /// down to the charged cycle count. Empty for scalar/MIMD variants.
   interp::RunStats Stats;
 };
 
@@ -113,11 +113,12 @@ interp::ExternRegistry makeFuzzRegistry(std::vector<std::string> &Log,
 /// Runs every variant of \p C and compares against the scalar
 /// reference. Never aborts on a trapping program.
 ///
-/// Every variant executes twice - tree-walk engine, bytecode engine -
-/// three times with OracleOptions::Native, which adds the JIT'd native
-/// tier. Each lowered engine must agree with
-/// the tree *exactly*: same stores (bitwise), same body count, same
-/// extern log entry by entry, same trap kind/lanes/location/detail,
+/// Scalar and MIMD variants run once, on the tree walker: they are the
+/// exact baselines. Every SIMD variant executes twice - tree-walk
+/// engine, bytecode engine - three times with OracleOptions::Native,
+/// which adds the JIT'd native tier. Each lowered engine must agree
+/// with the tree *exactly*: same stores (bitwise), same body count,
+/// same extern log entry by entry, same trap kind/lanes/location/detail,
 /// same RunStats down to the charged cycle count; the lowered engines
 /// must additionally agree among themselves on trip histograms
 /// bitwise. A mismatch is reported as a failure for variant

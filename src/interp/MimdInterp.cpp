@@ -2,7 +2,6 @@
 
 #include "interp/MimdInterp.h"
 
-#include "exec/Lower.h"
 #include "support/Error.h"
 
 #include <algorithm>
@@ -38,16 +37,8 @@ MimdInterp::run(const std::function<void(DataStore &)> &Init) {
   };
   std::map<std::pair<std::string, int64_t>, WriterInfo> Writer;
 
-  // Lower once and share the bytecode across all processor engines.
-  std::shared_ptr<const exec::Program> Compiled;
-  if (Opts.Eng != Engine::Tree)
-    Compiled = std::make_shared<exec::Program>(
-        exec::lower(Prog, exec::Mode::Scalar));
-
   for (int64_t P = 0; P < NumProcs; ++P) {
     ScalarInterp Interp(Prog, Machine, Externs, Opts);
-    if (Compiled)
-      Interp.setCompiled(Compiled);
     if (Init)
       Init(Interp.store());
     Interp.setSlice({P, NumProcs, PartLayout});

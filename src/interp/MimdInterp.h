@@ -27,6 +27,7 @@
 #include "interp/ScalarInterp.h"
 
 #include <functional>
+#include <memory>
 
 namespace simdflat {
 namespace interp {

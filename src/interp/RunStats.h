@@ -26,17 +26,18 @@
 namespace simdflat {
 namespace interp {
 
-/// Which execution engine runs the program. All engines produce
-/// identical observable behavior (stores, stats, traces, traps) - the
-/// differential fuzzer enforces it. Bytecode lowers once and runs a
-/// flat instruction stream while Tree re-walks the AST per statement.
-/// Native compiles the lowered bytecode to a real C++ translation unit
-/// (codegen::CppEmitter), builds it with the host toolchain and runs
-/// the dlopen'd loops; when no toolchain is available
-/// (SIMDFLAT_ENABLE_JIT=OFF, missing compiler, compile failure) it
-/// degrades to the Bytecode path, so selecting it is always safe. Tree
-/// survives as the reference oracle. Scalar-mode programs have no
-/// lanes, so Native degrades to the Bytecode path there by design.
+/// Which engine runs a program on the SIMD machine (SimdInterp). All
+/// engines produce identical observable behavior (stores, stats,
+/// traces, traps) - the differential fuzzer enforces it. Bytecode
+/// lowers once and runs a flat instruction stream while Tree re-walks
+/// the AST per statement. Native compiles the lowered bytecode to a
+/// real C++ translation unit (codegen::CppEmitter), builds it with the
+/// host toolchain and runs the dlopen'd loops; when no toolchain is
+/// available (SIMDFLAT_ENABLE_JIT=OFF, missing compiler, compile
+/// failure) it degrades to the Bytecode path, so selecting it is always
+/// safe. Tree survives as the reference oracle. The scalar and MIMD
+/// executors are exact baselines and always walk the tree, whatever
+/// the engine.
 enum class Engine {
   Tree,
   Bytecode,
@@ -300,10 +301,11 @@ struct RunOptions {
   /// serving layer derives it from the request's end-to-end budget so a
   /// stuck or oversized program cannot hold a worker past its slot.
   std::optional<std::chrono::steady_clock::time_point> Deadline;
-  /// Execution engine. Bytecode is the default hot path; Tree is the
-  /// tree-walking reference oracle the differential tests compare
+  /// SIMD execution engine. Bytecode is the default hot path; Tree is
+  /// the tree-walking reference oracle the differential tests compare
   /// against; Native runs JIT-compiled loops and degrades to Bytecode
-  /// when no toolchain is available.
+  /// when no toolchain is available. ScalarInterp and MimdInterp ignore
+  /// it: they always walk the tree.
   Engine Eng = Engine::Bytecode;
 };
 

@@ -2,8 +2,6 @@
 
 #include "interp/ScalarInterp.h"
 
-#include "exec/Engine.h"
-#include "exec/Lower.h"
 #include "support/Error.h"
 
 #include <algorithm>
@@ -416,7 +414,7 @@ private:
   struct OwnedRange {
     int64_t Begin, End, Stride;
   };
-  OwnedRange ownedRange(int64_t Lo, int64_t Hi) const {
+  OwnedRange sliceOf(int64_t Lo, int64_t Hi) const {
     const ParallelSlice &S = *Slice;
     int64_t Count = Hi - Lo + 1;
     if (Count < 0)
@@ -441,7 +439,7 @@ private:
     if (DoSlice) {
       assert(Step == 1 && "sliced parallel loop must have unit step");
       ++SliceDepth;
-      OwnedRange R = ownedRange(Lo, Hi);
+      OwnedRange R = sliceOf(Lo, Hi);
       Lo = R.Begin;
       Hi = R.End;
       Step = R.Stride;
@@ -572,20 +570,6 @@ RunOutcome<ScalarRunResult> ScalarInterp::run() {
   assert(!HasRun && "ScalarInterp::run() may be called once");
   HasRun = true;
   ScalarRunResult Result;
-  // Scalar-mode programs have no lanes, so Native takes the bytecode
-  // path by design (the engine enum selects tree vs lowered execution).
-  if (Opts.Eng != Engine::Tree) {
-    if (!Compiled)
-      Compiled = std::make_shared<exec::Program>(
-          exec::lower(Prog, exec::Mode::Scalar));
-    try {
-      exec::runScalar(*Compiled, Machine, Externs, Opts, Store, Slice,
-                      RecordWrites, Result);
-    } catch (TrapException &E) {
-      return std::move(E.T);
-    }
-    return Result;
-  }
   Impl I(Prog, Machine, Externs, Opts, Store, Slice, RecordWrites, Result);
   try {
     I.run();

@@ -10,7 +10,9 @@
 /// (flattening must preserve observable stores and the order of
 /// executed instructions, Sec. 4), the Sparc-2 sequential baseline of
 /// Sec. 5.5, and - through iteration-space slicing plus write-set
-/// merging - the per-processor engine of the MIMD executor.
+/// merging - the per-processor engine of the MIMD executor. It is an
+/// exact baseline, not a hot path, so it always walks the tree
+/// (RunOptions::Eng selects only the SIMD engine).
 ///
 //===----------------------------------------------------------------------===//
 
@@ -23,14 +25,9 @@
 #include "interp/Trap.h"
 #include "machine/Machine.h"
 
-#include <memory>
 #include <optional>
 
 namespace simdflat {
-namespace exec {
-struct Program;
-} // namespace exec
-
 namespace interp {
 
 /// Restricts the outermost parallel (DOALL) loop to the iterations owned
@@ -77,13 +74,6 @@ public:
   /// Records array writes into the result (MIMD merging).
   void setRecordWrites(bool On) { RecordWrites = On; }
 
-  /// Supplies an already-lowered bytecode program (Mode::Scalar) so
-  /// callers running many interpreters over one program (MIMD
-  /// processors, benches) lower once. Ignored under Engine::Tree.
-  void setCompiled(std::shared_ptr<const exec::Program> P) {
-    Compiled = std::move(P);
-  }
-
   /// Executes the program body once. May be called once per interpreter.
   /// Runtime faults of the program under execution (out-of-bounds
   /// subscripts, division by zero, fuel exhaustion...) return a Trap;
@@ -98,7 +88,6 @@ private:
   RunOptions Opts;
   DataStore Store;
   std::optional<ParallelSlice> Slice;
-  std::shared_ptr<const exec::Program> Compiled;
   bool RecordWrites = false;
   bool HasRun = false;
 };

@@ -71,7 +71,7 @@ public:
   DataStore &store();
   const machine::MachineConfig &machineConfig() const;
 
-  /// Supplies an already-lowered bytecode program (Mode::Simd) so
+  /// Supplies an already-lowered bytecode program (exec::lower) so
   /// callers running one pipeline stage many times (benches, fuzz
   /// oracle) lower once. Ignored under Engine::Tree.
   void setCompiled(std::shared_ptr<const exec::Program> Prog);

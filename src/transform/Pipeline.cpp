@@ -14,8 +14,33 @@
 #include "transform/Simdize.h"
 #include "transform/Simplify.h"
 
+#include <set>
+
 using namespace simdflat;
 using namespace simdflat::transform;
+
+namespace {
+
+/// One issue per label GOTO-loop recovery left behind, as a label or as
+/// a GOTO target, in label order.
+std::vector<std::string> survivingLabels(const ir::Program &P) {
+  std::set<int> Labels;
+  ir::forEachStmt(P.body(), [&Labels](const ir::Stmt &S) {
+    if (const auto *L = dyn_cast<ir::LabelStmt>(&S))
+      Labels.insert(L->label());
+    else if (const auto *G = dyn_cast<ir::GotoStmt>(&S))
+      Labels.insert(G->label());
+  });
+  std::vector<std::string> Issues;
+  for (int L : Labels)
+    Issues.push_back(formatf("label %d survives GOTO-loop recovery; the "
+                             "SIMD machine cannot execute unstructured "
+                             "control flow",
+                             L));
+  return Issues;
+}
+
+} // namespace
 
 std::string PipelineReport::summary() const {
   std::string Out;
@@ -84,6 +109,11 @@ transform::compileForSimd(const ir::Program &P, PipelineOptions Opts,
                     &Issues))
       return PipelineError{"goto-recovery", std::move(Issues)};
   }
+  // Recovery structures only single-entry backward loops; what it
+  // leaves (crossing loops, forward jumps) is the input's error, not a
+  // reason to abort in simdize.
+  if (frontend::hasUnstructuredControl(Work))
+    return PipelineError{"goto-recovery", survivingLabels(Work)};
 
   // Resolve the strategy seam: an explicit policy overrides the legacy
   // Flatten flag (which only distinguishes flattened vs unflattened).

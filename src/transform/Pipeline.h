@@ -16,7 +16,9 @@
 /// exists (flatten falls back to the unflattened Fig. 5 path, simplify
 /// reverts to the unsimplified tree); otherwise compileForSimd returns
 /// a structured PipelineError naming the stage and the verifier issues.
-/// It never returns an unverified program.
+/// It never returns an unverified program. Labels and GOTOs that GOTO
+/// recovery cannot structure (crossing loops, forward jumps) are an
+/// input error of stage "goto-recovery" naming each surviving label.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -130,7 +132,8 @@ struct PipelineReport {
 };
 
 /// Structured failure of the pipeline: the stage that produced an
-/// invalid tree (and could not be reverted), with the verifier issues.
+/// invalid tree (and could not be reverted), with the verifier issues,
+/// or the "goto-recovery" stage with one issue per surviving label.
 struct PipelineError {
   std::string Stage;
   std::vector<std::string> Issues;

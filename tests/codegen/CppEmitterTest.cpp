@@ -9,7 +9,6 @@
 
 #include "codegen/CppEmitter.h"
 #include "codegen/JitCache.h"
-#include "exec/Lower.h"
 #include "transform/Pipeline.h"
 #include "workloads/PaperKernels.h"
 
@@ -47,15 +46,6 @@ TEST(CppEmitter, SimdProgramEmitsEntryAndAbiGuard) {
 
 TEST(CppEmitter, EmissionIsDeterministic) {
   EXPECT_EQ(emitExample(), emitExample());
-}
-
-TEST(CppEmitter, ScalarModeProgramIsRejected) {
-  // The native tier only implements the SIMD policy; a scalar-mode
-  // lowering must yield "" so the dispatcher falls back to bytecode.
-  ir::Program P = makeExample(paperExampleSpec());
-  exec::Program EP = exec::lower(P, exec::Mode::Scalar);
-  machine::MachineConfig M = machine::MachineConfig::sparc2();
-  EXPECT_EQ(codegen::emitCpp(EP, P, M), "");
 }
 
 TEST(JitCache, SourceKeyStableAndContentSensitive) {

@@ -1,27 +1,21 @@
 //===- tests/exec/EngineEquivalenceTest.cpp --------------------*- C++ -*-===//
 //
-// Three-engine equivalence: the bytecode core and the native tier
-// must be observably identical to the tree-walking reference on
-// stores, every RunStats counter, traces, and traps (kind, lanes,
-// location, detail) across the scalar, MIMD and SIMD executors. These
-// are the focused unit-level checks; the differential fuzzer covers the
-// same contract at scale.
+// Three-engine equivalence on the SIMD machine: the bytecode core and
+// the native tier must be observably identical to the tree-walking
+// reference on stores, every RunStats counter, traces, and traps (kind,
+// lanes, location, detail). These are the focused unit-level checks;
+// the differential fuzzer covers the same contract at scale.
 //
 //===----------------------------------------------------------------------===//
 
-#include "interp/MimdInterp.h"
-#include "interp/ScalarInterp.h"
 #include "interp/SimdInterp.h"
 #include "transform/Pipeline.h"
 #include "workloads/PaperKernels.h"
-
-#include "ir/Builder.h"
 
 #include <gtest/gtest.h>
 
 using namespace simdflat;
 using namespace simdflat::interp;
-using namespace simdflat::ir;
 using namespace simdflat::workloads;
 
 namespace {
@@ -34,13 +28,6 @@ void expectSameStats(const RunStats &A, const RunStats &B) {
   EXPECT_EQ(A.CommAccesses, B.CommAccesses);
   EXPECT_EQ(A.Cycles, B.Cycles);
   EXPECT_EQ(A.Seconds, B.Seconds);
-}
-
-void expectSameTrap(const Trap &A, const Trap &B) {
-  EXPECT_EQ(A.Kind, B.Kind);
-  EXPECT_EQ(A.Lanes, B.Lanes);
-  EXPECT_EQ(A.Location, B.Location);
-  EXPECT_EQ(A.Detail, B.Detail);
 }
 
 void expectSameTrace(const Trace &A, const Trace &B) {
@@ -58,103 +45,6 @@ RunOptions optsFor(Engine E) {
   O.WorkTargets = {"X"};
   O.Eng = E;
   return O;
-}
-
-TEST(EngineEquivalence, ScalarStoresAndStats) {
-  ExampleSpec Spec = paperExampleSpec();
-  Program P = makeExample(Spec);
-  machine::MachineConfig M = machine::MachineConfig::sparc2();
-  std::vector<int64_t> X[3];
-  ScalarRunResult R[3];
-  int I = 0;
-  for (Engine E : {Engine::Tree, Engine::Bytecode, Engine::Native}) {
-    ScalarInterp Interp(P, M, nullptr, optsFor(E));
-    Interp.store().setInt("K", Spec.K);
-    Interp.store().setIntArray("L", Spec.L);
-    R[I] = Interp.run().value();
-    X[I] = Interp.store().getIntArray("X");
-    ++I;
-  }
-  EXPECT_EQ(X[0], X[1]);
-  EXPECT_EQ(X[0], X[2]);
-  expectSameStats(R[0].Stats, R[1].Stats);
-  expectSameStats(R[0].Stats, R[2].Stats);
-}
-
-TEST(EngineEquivalence, ScalarOutOfBoundsTrap) {
-  // A(9) with extent 8: both engines trap with the same rendered
-  // location chain and detail text.
-  Program P("OOB");
-  P.addVar("A", ScalarKind::Int, {8});
-  P.addVar("i", ScalarKind::Int);
-  Builder B(P);
-  P.body().push_back(B.doLoop(
-      "i", B.lit(1), B.lit(9),
-      Builder::body(B.assign(B.at("A", B.var("i")), B.var("i")))));
-  machine::MachineConfig M = machine::MachineConfig::sparc2();
-  Trap T[3];
-  int I = 0;
-  for (Engine E : {Engine::Tree, Engine::Bytecode, Engine::Native}) {
-    RunOptions O;
-    O.Eng = E;
-    ScalarInterp Interp(P, M, nullptr, O);
-    auto R = Interp.run();
-    ASSERT_FALSE(R) << engineName(E);
-    T[I++] = R.error();
-  }
-  EXPECT_EQ(T[0].Kind, TrapKind::OutOfBounds);
-  expectSameTrap(T[0], T[1]);
-  expectSameTrap(T[0], T[2]);
-}
-
-TEST(EngineEquivalence, ScalarFuelTrap) {
-  // The fuel watchdog fires after the same number of charged
-  // instructions in both engines.
-  ExampleSpec Spec = paperExampleSpec();
-  Program P = makeExample(Spec);
-  machine::MachineConfig M = machine::MachineConfig::sparc2();
-  Trap T[3];
-  int I = 0;
-  for (Engine E : {Engine::Tree, Engine::Bytecode, Engine::Native}) {
-    RunOptions O = optsFor(E);
-    O.Fuel = 40;
-    ScalarInterp Interp(P, M, nullptr, O);
-    Interp.store().setInt("K", Spec.K);
-    Interp.store().setIntArray("L", Spec.L);
-    auto R = Interp.run();
-    ASSERT_FALSE(R) << engineName(E);
-    T[I++] = R.error();
-  }
-  EXPECT_EQ(T[0].Kind, TrapKind::FuelExhausted);
-  expectSameTrap(T[0], T[1]);
-  expectSameTrap(T[0], T[2]);
-}
-
-TEST(EngineEquivalence, MimdSlicingAndMerge) {
-  // Each MIMD processor runs the scalar engine over its owned slice;
-  // per-processor stats, Eq. 1 time and the merged store must match.
-  ExampleSpec Spec = paperExampleSpec();
-  Program P = makeExample(Spec);
-  machine::MachineConfig M = machine::MachineConfig::sparc2();
-  MimdRunResult R[3];
-  int I = 0;
-  for (Engine E : {Engine::Tree, Engine::Bytecode, Engine::Native}) {
-    MimdInterp Interp(P, M, nullptr, /*NumProcs=*/2,
-                      machine::Layout::Block, optsFor(E));
-    R[I++] = Interp.run([&](DataStore &S) {
-               S.setInt("K", Spec.K);
-               S.setIntArray("L", Spec.L);
-             }).value();
-  }
-  for (int J : {1, 2}) {
-    EXPECT_EQ(R[0].TimeSteps, R[J].TimeSteps);
-    EXPECT_EQ(R[0].Seconds, R[J].Seconds);
-    ASSERT_EQ(R[0].PerProc.size(), R[J].PerProc.size());
-    for (size_t Proc = 0; Proc < R[0].PerProc.size(); ++Proc)
-      expectSameStats(R[0].PerProc[Proc], R[J].PerProc[Proc]);
-    EXPECT_EQ(R[0].Merged->getIntArray("X"),
-              R[J].Merged->getIntArray("X"));
-  }
 }
 
 TEST(EngineEquivalence, SimdTraceAndStats) {

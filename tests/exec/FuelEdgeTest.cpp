@@ -1,17 +1,17 @@
 //===- tests/exec/FuelEdgeTest.cpp -----------------------------*- C++ -*-===//
 //
-// Fuel-budget edge semantics, pinned across all three engines: Fuel = 0
-// is unlimited, a budget of exactly the program's instruction count
-// completes while one less traps, and SIMD trap *sets* (the per-lane
-// Lanes vector, location and detail) are identical between the tree
-// reference, the bytecode engine and the native tier. The serving
-// core leans on these edges: MaxFuel admission and FuelExhausted
-// replies are only deterministic if every engine charges identically.
+// Fuel-budget edge semantics on the SIMD machine, pinned across all
+// three engines: Fuel = 0 is unlimited, a budget of exactly the
+// program's instruction count completes while one less traps, and trap
+// *sets* (the per-lane Lanes vector, location and detail) are identical
+// between the tree reference, the bytecode engine and the native tier.
+// The serving core leans on these edges: MaxFuel admission and
+// FuelExhausted replies are only deterministic if every engine charges
+// identically.
 //
 //===----------------------------------------------------------------------===//
 
 #include "frontend/Parser.h"
-#include "interp/ScalarInterp.h"
 #include "interp/SimdInterp.h"
 #include "transform/Pipeline.h"
 #include "workloads/PaperKernels.h"
@@ -31,15 +31,30 @@ void expectSameTrap(const Trap &A, const Trap &B) {
   EXPECT_EQ(A.Detail, B.Detail);
 }
 
-/// Runs the paper example on the scalar interpreter with \p Fuel;
-/// returns the outcome.
-RunOutcome<ScalarRunResult> runScalar(Engine E, int64_t Fuel) {
+machine::MachineConfig lanes(int64_t N) {
+  machine::MachineConfig M;
+  M.Name = "test-" + std::to_string(N);
+  M.Processors = N;
+  M.Gran = N;
+  M.DataLayout = machine::Layout::Cyclic;
+  return M;
+}
+
+/// Runs the pipeline-compiled paper example (flattened, min-one inner
+/// trips, the `flattenc --assume-min-one --lanes=2` build) on the
+/// 2-lane machine with \p Fuel; returns the outcome.
+RunOutcome<SimdRunResult> runExample(Engine E, int64_t Fuel) {
   ExampleSpec Spec = paperExampleSpec();
-  ir::Program P = makeExample(Spec);
+  transform::PipelineOptions PO;
+  PO.AssumeInnerMinOneTrip = true;
+  auto C = transform::compileForSimdExec(makeExample(Spec), PO);
+  EXPECT_TRUE(static_cast<bool>(C)) << C.error().render();
   RunOptions O;
   O.Eng = E;
   O.Fuel = Fuel;
-  ScalarInterp Interp(P, machine::MachineConfig::sparc2(), nullptr, O);
+  SimdInterp Interp(C->Prog, lanes(2), nullptr, O);
+  if (E != Engine::Tree)
+    Interp.setCompiled(C->Code);
   Interp.store().setInt("K", Spec.K);
   Interp.store().setIntArray("L", Spec.L);
   return Interp.run();
@@ -47,7 +62,7 @@ RunOutcome<ScalarRunResult> runScalar(Engine E, int64_t Fuel) {
 
 TEST(FuelEdge, ZeroFuelIsUnlimited) {
   for (Engine E : {Engine::Tree, Engine::Bytecode, Engine::Native}) {
-    auto R = runScalar(E, 0);
+    auto R = runExample(E, 0);
     ASSERT_TRUE(static_cast<bool>(R))
         << engineName(E) << ": " << R.error().render();
     EXPECT_GT(R->Stats.Instructions, 0) << engineName(E);
@@ -55,38 +70,27 @@ TEST(FuelEdge, ZeroFuelIsUnlimited) {
 }
 
 TEST(FuelEdge, ExactBudgetCompletesOneLessTraps) {
+  // Total charge of the unlimited run, which every engine must agree on...
+  auto Free = runExample(Engine::Tree, 0);
+  ASSERT_TRUE(static_cast<bool>(Free)) << Free.error().render();
+  int64_t Total = Free->Stats.Instructions;
+  ASSERT_GT(Total, 1);
   for (Engine E : {Engine::Tree, Engine::Bytecode, Engine::Native}) {
-    // Total charge of the unlimited run...
-    auto Free = runScalar(E, 0);
-    ASSERT_TRUE(static_cast<bool>(Free)) << engineName(E);
-    int64_t Total = Free->Stats.Instructions;
-    ASSERT_GT(Total, 1) << engineName(E);
-
     // ...is exactly enough fuel: the last instruction does not trap.
-    auto Exact = runScalar(E, Total);
+    auto Exact = runExample(E, Total);
     ASSERT_TRUE(static_cast<bool>(Exact))
         << engineName(E) << ": a budget of the full instruction count "
         << "must complete, got " << Exact.error().render();
     EXPECT_EQ(Exact->Stats.Instructions, Total) << engineName(E);
 
     // One unit less traps, with the spent budget in the detail.
-    auto Starved = runScalar(E, Total - 1);
+    auto Starved = runExample(E, Total - 1);
     ASSERT_FALSE(static_cast<bool>(Starved)) << engineName(E);
     EXPECT_EQ(Starved.error().Kind, TrapKind::FuelExhausted)
         << engineName(E);
-  }
-}
-
-TEST(FuelEdge, ExhaustionTrapIdenticalAcrossEngines) {
-  auto Free = runScalar(Engine::Tree, 0);
-  ASSERT_TRUE(static_cast<bool>(Free));
-  int64_t Budget = Free->Stats.Instructions / 2;
-  auto Tree = runScalar(Engine::Tree, Budget);
-  ASSERT_FALSE(static_cast<bool>(Tree));
-  for (Engine E : {Engine::Bytecode, Engine::Native}) {
-    auto Got = runScalar(E, Budget);
-    ASSERT_FALSE(static_cast<bool>(Got)) << engineName(E);
-    expectSameTrap(Tree.error(), Got.error());
+    EXPECT_NE(Starved.error().Detail.find(std::to_string(Total - 1)),
+              std::string::npos)
+        << engineName(E) << ": " << Starved.error().Detail;
   }
 }
 
@@ -98,15 +102,10 @@ RunOutcome<SimdRunResult> runSimd(const std::string &Source, Engine E,
   EXPECT_TRUE(PR.ok()) << PR.Diags.renderAll();
   auto C = transform::compileForSimdExec(*PR.Prog);
   EXPECT_TRUE(static_cast<bool>(C)) << C.error().render();
-  machine::MachineConfig M;
-  M.Name = "test-4";
-  M.Processors = 4;
-  M.Gran = 4;
-  M.DataLayout = machine::Layout::Cyclic;
   RunOptions O;
   O.Eng = E;
   O.Fuel = Fuel;
-  SimdInterp Interp(C->Prog, M, nullptr, O);
+  SimdInterp Interp(C->Prog, lanes(4), nullptr, O);
   if (E != Engine::Tree)
     Interp.setCompiled(C->Code);
   const std::vector<int64_t> L = {1, 2, 9, 3};
@@ -161,16 +160,11 @@ RunOutcome<SimdRunResult> runSimdExpired(Engine E) {
   EXPECT_TRUE(PR.ok()) << PR.Diags.renderAll();
   auto C = transform::compileForSimdExec(*PR.Prog);
   EXPECT_TRUE(static_cast<bool>(C)) << C.error().render();
-  machine::MachineConfig M;
-  M.Name = "test-4";
-  M.Processors = 4;
-  M.Gran = 4;
-  M.DataLayout = machine::Layout::Cyclic;
   RunOptions O;
   O.Eng = E;
   O.Deadline = std::chrono::steady_clock::now() -
                std::chrono::milliseconds(10);
-  SimdInterp Interp(C->Prog, M, nullptr, O);
+  SimdInterp Interp(C->Prog, lanes(4), nullptr, O);
   if (E != Engine::Tree)
     Interp.setCompiled(C->Code);
   const std::vector<int64_t> L = {1, 2, 9, 3};

@@ -1,9 +1,11 @@
 //===- tests/exec/LowerGoldenTest.cpp --------------------------*- C++ -*-===//
 //
-// Golden disassembly tests for the ir:: -> bytecode lowering. The exact
-// instruction streams for two tiny programs are pinned so accidental
-// changes to register assignment, pool deduplication or control-flow
-// layout show up as a readable diff rather than a perf mystery.
+// Golden disassembly tests for the ir:: -> bytecode lowering (F90simd
+// programs only: the scalar and MIMD executors have no bytecode). The
+// exact instruction streams for two tiny programs are pinned so
+// accidental changes to register assignment, pool deduplication or
+// control-flow layout show up as a readable diff rather than a perf
+// mystery.
 //
 //===----------------------------------------------------------------------===//
 
@@ -19,9 +21,10 @@ using namespace simdflat::ir;
 
 namespace {
 
-/// DO i = 1, 4:  A(i) = i * 2
+/// DO i = 1, 4:  A(i) = i * 2  (F90simd dialect).
 Program makeTinyLoop() {
   Program P("TINY");
+  P.setDialect(Dialect::F90Simd);
   P.addVar("A", ScalarKind::Int, {4});
   P.addVar("i", ScalarKind::Int);
   Builder B(P);
@@ -46,38 +49,10 @@ Program makeTinyWhere() {
   return P;
 }
 
-TEST(LowerGolden, TinyScalarLoop) {
-  exec::Program EP = exec::lower(makeTinyLoop(), exec::Mode::Scalar);
-  EXPECT_EQ(exec::disassemble(EP),
-            "program 'TINY' mode=scalar regs=3 ctl=5 code=21\n"
-            "    0: ld.int             0      0      0      0 ; 1\n"
-            "    1: ctl.fromreg        0      0     -1      0\n"
-            "    2: ld.int             0      1      0      0 ; 4\n"
-            "    3: ctl.fromreg        1      0     -1      0\n"
-            "    4: ctl.imm            2      0      0      0 ; 1\n"
-            "    5: check.step         2      0      0      0 ; "
-            "\"DO i has a step of zero\"\n"
-            "    6: ctl.imm            4      2      0      0 ; 0\n"
-            "    7: do.test            0      0      0     18\n"
-            "    8: loop.iter          0      0      0      0\n"
-            "    9: ctl.inc            4      0      0      0\n"
-            "   10: set.idx            0      0      0      0 ; i\n"
-            "   11: ld.var             1      0      0      0 ; i\n"
-            "   12: ld.int             2      3      0      0 ; 2\n"
-            "   13: mul.i              0      1      2      0\n"
-            "   14: ld.var             1      0      0      0 ; i\n"
-            "   15: st.arr             1      0      0      0 ; A\n"
-            "   16: do.step            0      0      0      0\n"
-            "   17: jmp                0      0      0      7\n"
-            "   18: trip.rec           4      0      0      0 ; L0 do i\n"
-            "   19: set.idx            0      0      0      0 ; i\n"
-            "   20: halt               0      0      0      0\n");
-}
-
 TEST(LowerGolden, TinySimdWhere) {
   exec::Program EP = exec::lower(makeTinyWhere(), exec::Mode::Simd);
   EXPECT_EQ(exec::disassemble(EP),
-            "program 'TINYWHERE' mode=simd regs=3 ctl=0 code=11\n"
+            "program 'TINYWHERE' regs=3 ctl=0 code=11\n"
             "    0: ld.var             0      0      0      0 ; t\n"
             "    1: where.push         0      0      0      0\n"
             "    2: ld.var             1      1      0      0 ; X\n"
@@ -113,7 +88,7 @@ TEST(LowerGolden, TinySimdTrapOperandsAreSymbolized) {
   exec::Program EP = exec::lower(makeTinyTrap(), exec::Mode::Simd);
   EXPECT_EQ(
       exec::disassemble(EP),
-      "program 'TINYTRAP' mode=simd regs=3 ctl=5 code=22\n"
+      "program 'TINYTRAP' regs=3 ctl=4 code=22\n"
       "    0: ld.int             0      0      0      0 ; 1\n"
       "    1: ctl.fromreg        0      0      0      0 ; "
       "\"DO lower bound\"\n"
@@ -123,10 +98,10 @@ TEST(LowerGolden, TinySimdTrapOperandsAreSymbolized) {
       "    4: ctl.imm            2      0      0      0 ; 1\n"
       "    5: check.step         2      2      0      0 ; "
       "\"DO step of zero\"\n"
-      "    6: ctl.imm            4      2      0      0 ; 0\n"
+      "    6: ctl.imm            3      2      0      0 ; 0\n"
       "    7: do.test            0      0      0     19\n"
       "    8: loop.iter          0      0      0      0\n"
-      "    9: ctl.inc            4      0      0      0\n"
+      "    9: ctl.inc            3      0      0      0\n"
       "   10: set.idx            0      0      0      0 ; i\n"
       "   11: charge             2      0      0      0\n"
       "   12: ld.var             1      1      0      0 ; X\n"
@@ -139,7 +114,7 @@ TEST(LowerGolden, TinySimdTrapOperandsAreSymbolized) {
       "the SIMD machine; run the front end's loop recovery first\"\n"
       "   17: do.step            0      0      0      0\n"
       "   18: jmp                0      0      0      7\n"
-      "   19: trip.rec           4      0      0      0 ; L0 do i\n"
+      "   19: trip.rec           3      0      0      0 ; L0 do i\n"
       "   20: set.idx            0      0      0      0 ; i\n"
       "   21: halt               0      0      0      0\n");
 }
@@ -147,18 +122,19 @@ TEST(LowerGolden, TinySimdTrapOperandsAreSymbolized) {
 TEST(LowerGolden, LiteralPoolsDeduplicate) {
   // The same literal appearing many times lowers to one pool entry.
   Program P("POOLS");
+  P.setDialect(Dialect::F90Simd);
   P.addVar("X", ScalarKind::Int);
   Builder B(P);
   for (int I = 0; I < 4; ++I)
     P.body().push_back(B.set("X", B.add(B.var("X"), B.lit(7))));
-  exec::Program EP = exec::lower(P, exec::Mode::Scalar);
+  exec::Program EP = exec::lower(P, exec::Mode::Simd);
   EXPECT_EQ(std::count(EP.IntPool.begin(), EP.IntPool.end(), 7), 1);
 }
 
 TEST(LowerGolden, LocationsArePrerendered) {
   // Every instruction carries a location index into a deduplicated
   // string pool; the loop body's statements share one rendered chain.
-  exec::Program EP = exec::lower(makeTinyLoop(), exec::Mode::Scalar);
+  exec::Program EP = exec::lower(makeTinyLoop(), exec::Mode::Simd);
   ASSERT_FALSE(EP.Locs.empty());
   bool SawDoChain = false;
   for (const std::string &L : EP.Locs)

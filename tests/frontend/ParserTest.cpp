@@ -199,4 +199,101 @@ TEST(Parser, DiagnosticLocations) {
   EXPECT_EQ(R.Diags.all()[0].Loc.Line, 4);
 }
 
+//===----------------------------------------------------------------------===//
+// Nesting bound (MaxNestingDepth). Every pass after the parser recurses
+// over the tree, so each of these shapes at 30,000 levels overflowed
+// the stack of a later pass before the bound existed.
+//===----------------------------------------------------------------------===//
+
+enum class Shape { UnaryMinus, Parens, AddChain, IfBlocks, DoBlocks };
+
+/// A program nesting \p Depth levels in one shape.
+std::string nestedProgram(Shape S, int Depth) {
+  auto Times = [Depth](const std::string &Piece) {
+    std::string Out;
+    Out.reserve(Piece.size() * static_cast<size_t>(Depth));
+    for (int I = 0; I < Depth; ++I)
+      Out += Piece;
+    return Out;
+  };
+  std::string Body;
+  switch (S) {
+  case Shape::UnaryMinus:
+    Body = "a = " + Times("-") + "1\n";
+    break;
+  case Shape::Parens:
+    Body = "a = " + Times("(") + "1" + Times(")") + "\n";
+    break;
+  case Shape::AddChain:
+    Body = "a = " + Times("1+") + "1\n";
+    break;
+  case Shape::IfBlocks:
+    Body = Times("IF (a < 1) THEN\n") + "a = 1\n" + Times("ENDIF\n");
+    break;
+  case Shape::DoBlocks:
+    Body = Times("DO i = 1, 1\n") + "a = 1\n" + Times("ENDDO\n");
+    break;
+  }
+  return "PROGRAM DEEP\nINTEGER a\nINTEGER i\nBEGIN\n" + Body + "END\n";
+}
+
+/// Parsing stops with exactly one diagnostic, the nesting error.
+void expectRejectedOnce(Shape S, int Depth) {
+  ParseResult R = parseProgram(nestedProgram(S, Depth));
+  EXPECT_FALSE(R.ok());
+  ASSERT_EQ(R.Diags.count(), 1u) << R.Diags.renderAll();
+  EXPECT_NE(R.Diags.all()[0].Message.find("nesting deeper than 256 levels"),
+            std::string::npos)
+      << R.Diags.renderAll();
+}
+
+TEST(ParserNesting, ThirtyThousandUnaryMinusesAreRejected) {
+  expectRejectedOnce(Shape::UnaryMinus, 30000);
+}
+
+TEST(ParserNesting, ThirtyThousandParenthesesAreRejected) {
+  expectRejectedOnce(Shape::Parens, 30000);
+}
+
+TEST(ParserNesting, ThirtyThousandLinkChainIsRejected) {
+  expectRejectedOnce(Shape::AddChain, 30000);
+}
+
+TEST(ParserNesting, ThirtyThousandIfBlocksAreRejected) {
+  expectRejectedOnce(Shape::IfBlocks, 30000);
+}
+
+TEST(ParserNesting, ThirtyThousandDoBlocksAreRejected) {
+  expectRejectedOnce(Shape::DoBlocks, 30000);
+}
+
+TEST(ParserNesting, BoundIsInclusive) {
+  for (Shape S : {Shape::UnaryMinus, Shape::Parens, Shape::AddChain,
+                  Shape::IfBlocks, Shape::DoBlocks}) {
+    ParseResult At = parseProgram(nestedProgram(S, MaxNestingDepth));
+    EXPECT_TRUE(At.ok()) << At.Diags.renderAll();
+    expectRejectedOnce(S, MaxNestingDepth + 1);
+  }
+}
+
+TEST(ParserNesting, ChainHeightCountsItsLeftOperand) {
+  // A parenthesized chain as the left operand of another chain: 128
+  // links inside plus the parenthesis plus 128 links outside is 257
+  // levels, one past the bound, though no single chain is long.
+  std::string Inner, Outer;
+  for (int I = 0; I < 128; ++I) {
+    Inner += "1+";
+    Outer += "+1";
+  }
+  std::string Src = "PROGRAM DEEP\nINTEGER a\nBEGIN\na = (" + Inner +
+                    "1)" + Outer + "\nEND\n";
+  ParseResult R = parseProgram(Src);
+  EXPECT_FALSE(R.ok());
+  // One link fewer fits exactly.
+  std::string Fits = "PROGRAM DEEP\nINTEGER a\nBEGIN\na = (" + Inner +
+                     "1)" + Outer.substr(2) + "\nEND\n";
+  ParseResult F = parseProgram(Fits);
+  EXPECT_TRUE(F.ok()) << F.Diags.renderAll();
+}
+
 } // namespace

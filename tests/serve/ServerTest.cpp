@@ -12,6 +12,7 @@
 #include "serve/Server.h"
 
 #include "codegen/NativeEngine.h"
+#include "frontend/Parser.h"
 
 #include "interp/Trap.h"
 
@@ -146,6 +147,59 @@ TEST(Server, BadInputsAreCompileErrors) {
   Reply Rep2 = getReply(S.submit(std::move(R2)));
   EXPECT_EQ(Rep2.Out, Outcome::CompileError);
   EXPECT_NE(Rep2.Error.find("elements"), std::string::npos) << Rep2.Error;
+  expectConsistent(S);
+}
+
+TEST(Server, SurvivingGotosAreACompileErrorAndServingContinues) {
+  // Two crossing GOTO loops survive recovery. simdize used to abort on
+  // them, taking the daemon and every in-flight request down with it.
+  ServerOptions SO;
+  SO.Workers = 1;
+  Server S(SO);
+  Request R;
+  R.Source = "PROGRAM CROSS\nINTEGER a\nBEGIN\n1 CONTINUE\n2 CONTINUE\n"
+             "IF (a < 0) GOTO 1\nIF (a < 0) GOTO 2\nEND\n";
+  Reply Bad = getReply(S.submit(std::move(R)));
+  EXPECT_EQ(Bad.Out, Outcome::CompileError);
+  EXPECT_NE(Bad.Error.find("goto-recovery"), std::string::npos) << Bad.Error;
+  EXPECT_NE(Bad.Error.find("label 1"), std::string::npos) << Bad.Error;
+  EXPECT_NE(Bad.Error.find("label 2"), std::string::npos) << Bad.Error;
+  Reply Good = getReply(S.submit(exampleRequest()));
+  EXPECT_EQ(Good.Out, Outcome::Served) << Good.Error;
+  expectConsistent(S);
+}
+
+/// frontend::MaxNestingDepth + \p Extra nested IF blocks around an
+/// assignment whose expression is as many unary minuses deep.
+std::string nestedSource(int Extra) {
+  int Depth = frontend::MaxNestingDepth + Extra;
+  std::string Src = "PROGRAM DEEP\nINTEGER a\nINTEGER b\nBEGIN\n";
+  for (int I = 0; I < Depth; ++I)
+    Src += "IF (a < 1) THEN\n";
+  Src += "b = " + std::string(static_cast<size_t>(Depth), '-') + "1\n";
+  for (int I = 0; I < Depth; ++I)
+    Src += "ENDIF\n";
+  return Src + "END\n";
+}
+
+TEST(Server, ServesAProgramNestedAtTheParserBound) {
+  // The deepest statement and expression nesting the parser accepts
+  // must pass every recursive pass after it and run; one level more is
+  // a compile-error, not a stack overflow.
+  ServerOptions SO;
+  SO.Workers = 1;
+  Server S(SO);
+  Request R;
+  R.Source = nestedSource(0);
+  R.Fuel = 100'000;
+  Reply AtBound = getReply(S.submit(std::move(R)));
+  EXPECT_EQ(AtBound.Out, Outcome::Served) << AtBound.Error;
+  Request Over;
+  Over.Source = nestedSource(1);
+  Reply Past = getReply(S.submit(std::move(Over)));
+  EXPECT_EQ(Past.Out, Outcome::CompileError);
+  EXPECT_NE(Past.Error.find("nesting deeper than"), std::string::npos)
+      << Past.Error;
   expectConsistent(S);
 }
 

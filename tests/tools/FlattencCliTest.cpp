@@ -194,4 +194,35 @@ TEST(FlattencCli, AdaptiveAndStrategyFlagValidation) {
   std::remove(Fix.c_str());
 }
 
+TEST(FlattencCli, DumpBytecodeNeedsTheSimdDialect) {
+  // Only the SIMD machine has a bytecode: dumping an F77 stage is a
+  // usage error, like --run.
+  std::string Fix = writeNestFixture();
+  EXPECT_EQ(runFlattenc("--dump-bytecode --emit=f77 " + Fix).ExitCode, 2);
+  EXPECT_EQ(runFlattenc("--dump-bytecode --emit=flat " + Fix).ExitCode, 2);
+  CliResult R = runFlattenc("--dump-bytecode " + Fix);
+  EXPECT_EQ(R.ExitCode, 0) << R.Output;
+  EXPECT_NE(R.Output.find("program 'WIDE' regs="), std::string::npos)
+      << R.Output;
+  std::remove(Fix.c_str());
+}
+
+TEST(FlattencCli, CrossingGotoLoopsAreAPipelineError) {
+  // Recovery cannot structure two crossing GOTO loops. This used to
+  // abort inside simdize (exit 134); it is an ordinary pipeline error.
+  std::string Path =
+      "/tmp/flattenc_cli_cross_" + std::to_string(getpid()) + ".f";
+  if (FILE *F = std::fopen(Path.c_str(), "w")) {
+    std::fputs("PROGRAM CROSS\nINTEGER a\nBEGIN\n1 CONTINUE\n"
+               "2 CONTINUE\nIF (a < 0) GOTO 1\nIF (a < 0) GOTO 2\nEND\n",
+               F);
+    std::fclose(F);
+  }
+  CliResult R = runFlattenc(Path);
+  EXPECT_EQ(R.ExitCode, 1) << R.Output;
+  EXPECT_NE(R.Output.find("stage 'goto-recovery'"), std::string::npos)
+      << R.Output;
+  std::remove(Path.c_str());
+}
+
 } // namespace

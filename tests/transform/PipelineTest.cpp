@@ -4,6 +4,7 @@
 
 #include "interp/ScalarInterp.h"
 #include "interp/SimdInterp.h"
+#include "ir/Builder.h"
 #include "ir/Printer.h"
 #include "ir/Verify.h"
 #include "workloads/PaperKernels.h"
@@ -101,6 +102,26 @@ TEST(Pipeline, InvalidInputIsAStructuredError) {
   std::string Msg = R.error().render();
   EXPECT_NE(Msg.find("input"), std::string::npos);
   EXPECT_NE(Msg.find("subroutine"), std::string::npos);
+}
+
+TEST(Pipeline, CrossingGotoLoopsAreAStructuredError) {
+  // 1 CONTINUE / 2 CONTINUE / IF (a < 0) GOTO 1 / IF (a < 0) GOTO 2:
+  // the two loops cross, so recovery structures neither. simdize used to
+  // abort the process on what was left; the pipeline must name the
+  // surviving labels instead.
+  Program P("CROSS");
+  P.addVar("a", ScalarKind::Int);
+  Builder B(P);
+  P.body().push_back(B.label(1));
+  P.body().push_back(B.label(2));
+  P.body().push_back(B.gotoStmt(1, B.lt(B.var("a"), B.lit(0))));
+  P.body().push_back(B.gotoStmt(2, B.lt(B.var("a"), B.lit(0))));
+  Expected<Program, PipelineError> R = compileForSimd(P);
+  ASSERT_FALSE(R.ok());
+  EXPECT_EQ(R.error().Stage, "goto-recovery");
+  ASSERT_EQ(R.error().Issues.size(), 2u) << R.error().render();
+  EXPECT_NE(R.error().Issues[0].find("label 1 "), std::string::npos);
+  EXPECT_NE(R.error().Issues[1].find("label 2 "), std::string::npos);
 }
 
 TEST(Pipeline, StageOutcomesAreRecorded) {

@@ -33,6 +33,7 @@
 #include "interp/StatsJson.h"
 #include "ir/Printer.h"
 #include "ir/Walk.h"
+#include "support/CommandLine.h"
 #include "support/Json.h"
 #include "transform/Flatten.h"
 #include "transform/Pipeline.h"
@@ -40,7 +41,6 @@
 #include "transform/Simdize.h"
 #include "transform/Simplify.h"
 
-#include <cerrno>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -102,7 +102,8 @@ void usage() {
       "                         host loops and falls back to bytecode\n"
       "                         without a toolchain)\n"
       "  --dump-bytecode        disassemble the lowered bytecode of the\n"
-      "                         emitted program to stdout\n"
+      "                         emitted program to stdout (with\n"
+      "                         --emit=simd)\n"
       "  --lanes=N              simulator lanes (with --run, N >= 1)\n"
       "  --fuel=N               watchdog: trap after N instructions\n"
       "                         (with --run; 0 = unlimited)\n"
@@ -114,35 +115,11 @@ void usage() {
       "line, 3 runtime trap, 4 internal error\n");
 }
 
-/// Strict base-10 integer parse of all of \p S; rejects empty strings,
-/// trailing junk, and out-of-range values.
-bool parseInt(const std::string &S, int64_t &Out) {
-  if (S.empty())
-    return false;
-  errno = 0;
-  char *End = nullptr;
-  long long V = std::strtoll(S.c_str(), &End, 10);
-  if (End != S.c_str() + S.size() || errno == ERANGE)
-    return false;
-  Out = V;
-  return true;
-}
-
 [[nodiscard]] bool cliError(const char *Fmt, const std::string &Arg) {
   std::fprintf(stderr, Fmt, Arg.c_str());
   std::fprintf(stderr, "\n");
   usage();
   return false;
-}
-
-/// Value of a `--opt=value` argument; fails (rather than returning the
-/// whole argument) when the '=' is missing.
-bool optionValue(const std::string &A, std::string &Out) {
-  size_t Eq = A.find('=');
-  if (Eq == std::string::npos)
-    return false;
-  Out = A.substr(Eq + 1);
-  return true;
 }
 
 bool parseArgs(int Argc, char **Argv, CliOptions &Opts) {
@@ -277,6 +254,12 @@ bool parseArgs(int Argc, char **Argv, CliOptions &Opts) {
   if (Opts.Adaptive && !Opts.Run) {
     std::fprintf(stderr, "flattenc: --adaptive profiles a real execution; "
                          "it requires --run\n");
+    usage();
+    return false;
+  }
+  if (Opts.DumpBytecode && Opts.Emit != "simd") {
+    std::fprintf(stderr, "flattenc: --dump-bytecode requires --emit=simd "
+                         "(only the SIMD machine has a bytecode)\n");
     usage();
     return false;
   }
@@ -576,13 +559,9 @@ int realMain(int Argc, char **Argv) {
 
   std::fputs(ir::printProgram(P).c_str(), stdout);
 
-  if (Opts.DumpBytecode) {
-    exec::Mode M = P.dialect() == ir::Dialect::F90Simd
-                       ? exec::Mode::Simd
-                       : exec::Mode::Scalar;
-    exec::Program Code = exec::lower(P, M);
-    std::fputs(exec::disassemble(Code).c_str(), stdout);
-  }
+  if (Opts.DumpBytecode)
+    std::fputs(exec::disassemble(exec::lower(P, exec::Mode::Simd)).c_str(),
+               stdout);
 
   if (!Opts.Run)
     return writeStats() ? 0 : 2;

@@ -38,6 +38,7 @@
 
 #include "serve/ServeJson.h"
 #include "serve/Server.h"
+#include "support/CommandLine.h"
 #include "support/Json.h"
 
 #include <algorithm>
@@ -163,31 +164,11 @@ void usage() {
       "line, 4 internal error, 5 accounting inconsistency\n");
 }
 
-bool parseInt(const std::string &S, int64_t &Out) {
-  if (S.empty())
-    return false;
-  errno = 0;
-  char *End = nullptr;
-  long long V = std::strtoll(S.c_str(), &End, 10);
-  if (End != S.c_str() + S.size() || errno == ERANGE)
-    return false;
-  Out = V;
-  return true;
-}
-
 [[nodiscard]] bool cliError(const char *Fmt, const std::string &Arg) {
   std::fprintf(stderr, Fmt, Arg.c_str());
   std::fprintf(stderr, "\n");
   usage();
   return false;
-}
-
-bool optionValue(const std::string &A, std::string &Out) {
-  size_t Eq = A.find('=');
-  if (Eq == std::string::npos)
-    return false;
-  Out = A.substr(Eq + 1);
-  return true;
 }
 
 bool intOption(const std::string &A, const char *Name, int64_t Min,

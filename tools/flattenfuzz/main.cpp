@@ -32,9 +32,9 @@
 #include "interp/Trap.h"
 #include "ir/Printer.h"
 #include "ir/Walk.h"
+#include "support/CommandLine.h"
 
 #include <algorithm>
-#include <cerrno>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
@@ -91,31 +91,11 @@ void usage() {
       "command line or unreadable file\n");
 }
 
-bool parseInt(const std::string &S, int64_t &Out) {
-  if (S.empty())
-    return false;
-  errno = 0;
-  char *End = nullptr;
-  long long V = std::strtoll(S.c_str(), &End, 10);
-  if (End != S.c_str() + S.size() || errno == ERANGE)
-    return false;
-  Out = V;
-  return true;
-}
-
 [[nodiscard]] bool cliError(const char *Fmt, const std::string &Arg) {
   std::fprintf(stderr, Fmt, Arg.c_str());
   std::fprintf(stderr, "\n");
   usage();
   return false;
-}
-
-bool optionValue(const std::string &A, std::string &Out) {
-  size_t Eq = A.find('=');
-  if (Eq == std::string::npos)
-    return false;
-  Out = A.substr(Eq + 1);
-  return true;
 }
 
 bool parseArgs(int Argc, char **Argv, CliOptions &Opts) {
