@@ -17,7 +17,8 @@
 /// compiler is missing, or when a compile fails, getOrCompile returns
 /// null and the caller degrades to the bytecode engine. Compile
 /// *failures are cached per key* so a serving layer doesn't pay the
-/// failed-compile cost on every request (the breaker-degrades story).
+/// failed-compile cost on every request (as serve::ProgramCache caches
+/// pipeline failures).
 ///
 /// Loaded modules are never dlclosed: an entry point may be referenced
 /// by concurrently running requests, and the handful of resident

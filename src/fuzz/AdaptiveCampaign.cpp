@@ -215,9 +215,13 @@ void runDriftPhase(const AdaptiveCampaignOptions &Opts,
 /// and exactness must hold; only cache counters may move.
 void runChaosPhase(const AdaptiveCampaignOptions &Opts,
                    AdaptiveCampaignResult &Res, Collector &Col) {
+  // The whole burst is submitted before any reply is collected, so the
+  // queue holds all of it: a shed here would be the campaign's own
+  // sizing, not the server's.
+  const int Burst = 3 * Opts.Count;
   ServerOptions SO;
   SO.Workers = 2;
-  SO.QueueCapacity = 128;
+  SO.QueueCapacity = (size_t)Burst;
   SO.Adaptive = true;
   SO.AdaptiveMinSamples = 4;
   SO.AdaptiveProbeEvery = 2;
@@ -228,7 +232,7 @@ void runChaosPhase(const AdaptiveCampaignOptions &Opts,
   Server S(SO);
 
   std::vector<std::pair<std::vector<int64_t>, std::future<Reply>>> Pending;
-  for (int I = 0; I < 3 * Opts.Count; ++I) {
+  for (int I = 0; I < Burst; ++I) {
     uint64_t Seed = Opts.BaseSeed + (uint64_t)I;
     std::vector<int64_t> Trips =
         I % 2 ? skewedTrips(Seed) : uniformTrips(Seed);
@@ -261,10 +265,10 @@ void runChaosPhase(const AdaptiveCampaignOptions &Opts,
   checkAccounting("chaos", S, Res);
 }
 
-/// Poisoned primary: every compile attempt fails, so everything serves
+/// Poisoned primary: every primary compile fails, so everything serves
 /// through the fallback. Fallback replies must be tagged "static" at
-/// epoch 0, stay exact, and feed the profile nothing - a breaker-open
-/// spell must not register as drift.
+/// epoch 0, stay exact, and feed the profile nothing - a spell of
+/// fallback serves must not register as drift.
 void runFallbackPhase(const AdaptiveCampaignOptions &Opts,
                       AdaptiveCampaignResult &Res, Collector &Col) {
   ServerOptions SO;
@@ -272,8 +276,7 @@ void runFallbackPhase(const AdaptiveCampaignOptions &Opts,
   SO.QueueCapacity = 64;
   SO.Adaptive = true;
   SO.AdaptiveMinSamples = 2;
-  SO.Faults.CompileFailures = 1'000'000;
-  SO.CompileRetries = 0;
+  SO.Faults.FailPrimary = true;
   Server S(SO);
 
   const int N = 8;

@@ -19,12 +19,12 @@
 ///  * replies are honestly tagged: adaptive traffic never reports the
 ///    "static" strategy, fallback traffic reports nothing else;
 ///  * chaos does not break it: mid-flight eviction, cache byte
-///    pressure, and a poisoned primary pipeline (breaker + fallback)
-///    leave the conservation law served + trapped + shed +
+///    pressure, and a poisoned primary pipeline (cached failure +
+///    fallback) leave the conservation law served + trapped + shed +
 ///    compile-errors == submitted intact, globally and per tenant, and
 ///    the byte budget is never exceeded;
-///  * the fallback path never feeds the profile: a breaker-open spell
-///    records zero decisions.
+///  * the fallback path never feeds the profile: a spell of fallback
+///    serves records zero decisions.
 ///
 //===----------------------------------------------------------------------===//
 

@@ -60,7 +60,7 @@ Value fuzz::renderCase(const FuzzCase &C) {
   for (const auto &[Name, Arr] : C.RealArrays) {
     Value A = Value::array();
     for (double V : Arr)
-      A.push(V); // NaN serializes as null (see formatDouble)
+      A.push(V); // NaN serializes as null (see json::Value::dump)
     RealArrays.set(Name, std::move(A));
   }
   Doc.set("realArrays", std::move(RealArrays));

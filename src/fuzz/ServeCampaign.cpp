@@ -320,17 +320,15 @@ void runSaturationPhase(ServeCampaignResult &Res, Collector &Col) {
   checkAccounting("saturation", S, Res);
 }
 
-void runBreakerPhase(ServeCampaignResult &Res, Collector &Col) {
+void runPoisonedPrimaryPhase(ServeCampaignResult &Res, Collector &Col) {
   ServerOptions SO;
   SO.Workers = 1;
   SO.QueueCapacity = 32;
   SO.MaxFuel = 200'000;
-  // Every primary compile attempt fails; retries are off so each
-  // request burns exactly one attempt and the breaker trips quickly.
-  SO.Faults.CompileFailures = 1'000'000;
-  SO.CompileRetries = 0;
-  SO.Breaker.FailureThreshold = 2;
-  SO.Breaker.OpenBudget = 3;
+  // Every primary compile fails. Both verdicts are cached, so the
+  // whole phase runs exactly two pipelines: the failing primary and
+  // the fallback.
+  SO.Faults.FailPrimary = true;
   Server S(SO);
 
   const int N = 8;
@@ -344,28 +342,29 @@ void runBreakerPhase(ServeCampaignResult &Res, Collector &Col) {
     auto F = S.submit(std::move(R));
     ++Res.Submitted;
     Reply Rep;
-    // Sequential submission: the breaker state machine advances
-    // deterministically request by request.
-    if (!Col.get(F, "breaker", Rep))
+    if (!Col.get(F, "poisoned-primary", Rep))
       continue;
     if (Rep.Out != Outcome::Served)
       Res.Failures.push_back(
-          "breaker: request " + std::to_string(I) +
+          "poisoned-primary: request " + std::to_string(I) +
           " not served through the fallback: " + Rep.Error);
     else if (!Rep.Tele.Fallback)
-      Res.Failures.push_back("breaker: request " + std::to_string(I) +
+      Res.Failures.push_back("poisoned-primary: request " +
+                             std::to_string(I) +
                              " claims the primary pipeline compiled "
                              "despite total injection");
   }
   ServerStats St = S.stats();
   if (St.FallbackServes != N)
     Res.Failures.push_back(
-        "breaker: " + std::to_string(St.FallbackServes) + " of " +
+        "poisoned-primary: " + std::to_string(St.FallbackServes) + " of " +
         std::to_string(N) + " requests served via fallback");
-  if (St.BreakerOpens < 1)
+  if (St.CacheMisses != 2)
     Res.Failures.push_back(
-        "breaker: never opened despite consecutive primary failures");
-  checkAccounting("breaker", S, Res);
+        "poisoned-primary: " + std::to_string(St.CacheMisses) +
+        " cache misses; the primary and fallback verdicts must each "
+        "compile once");
+  checkAccounting("poisoned-primary", S, Res);
 }
 
 void runEvictionPhase(const ServeCampaignOptions &Opts,
@@ -769,7 +768,7 @@ fuzz::runServeCampaign(const ServeCampaignOptions &Opts) {
   Collector Col{Res, Opts.HangTimeoutSec};
   runMixedPhase(Opts, Res, Col);
   runSaturationPhase(Res, Col);
-  runBreakerPhase(Res, Col);
+  runPoisonedPrimaryPhase(Res, Col);
   runEvictionPhase(Opts, Res, Col);
   runTenantSkewPhase(Res, Col);
   runQuotaExhaustionPhase(Res, Col);

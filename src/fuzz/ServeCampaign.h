@@ -19,8 +19,9 @@
 ///    program is never a CompileError, a hostile one never Served, an
 ///    over-budget one always Shed with no retry hint, ...);
 ///  * degraded modes work: an always-failing primary pipeline still
-///    serves every request through the fallback and trips the breaker,
-///    and eviction under execution never invalidates a running program;
+///    serves every request through the fallback, with both verdicts
+///    compiled once and cached, and eviction under execution never
+///    invalidates a running program;
 ///  * tenancy holds under chaos: a tenant offering 10x load sheds only
 ///    its own overage while the victim tenant stays inside its quota
 ///    envelope (frozen virtual-time clock, so the skew phase is exactly
@@ -73,8 +74,8 @@ struct ServeCampaignResult {
 };
 
 /// Runs all phases: mixed traffic, queue saturation (2x capacity),
-/// always-failing primary compile (breaker + fallback), eviction under
-/// execution, tenant skew (10x hot tenant vs quota-protected victim),
+/// always-failing primary compile (cached verdict + fallback), eviction
+/// under execution, tenant skew (10x hot tenant vs quota-protected victim),
 /// quota exhaustion (rate/fuel/in-flight refusal pricing), drain under
 /// load, and cache byte-pressure.
 ServeCampaignResult runServeCampaign(const ServeCampaignOptions &Opts = {});

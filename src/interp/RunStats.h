@@ -176,6 +176,23 @@ struct NestTripStats {
   TripHistogram Hist;
 };
 
+/// Folds \p From's per-nest histograms into \p Into, matching nests by
+/// name; a nest \p Into lacks is appended.
+inline void mergeTripNests(std::vector<NestTripStats> &Into,
+                           const std::vector<NestTripStats> &From) {
+  for (const NestTripStats &N : From) {
+    auto It = std::find_if(Into.begin(), Into.end(),
+                           [&](const NestTripStats &Mine) {
+                             return Mine.Name == N.Name;
+                           });
+    if (It == Into.end()) {
+      Into.push_back(NestTripStats{N.Name, N.Depth, {}});
+      It = Into.end() - 1;
+    }
+    It->Hist.merge(N.Hist);
+  }
+}
+
 /// Counters accumulated by one execution.
 struct RunStats {
   /// Executions of designated "work" statements (assignments to
@@ -201,25 +218,6 @@ struct RunStats {
   /// leaves it empty (it is informational telemetry, never compared by
   /// the differential oracle and never charged against fuel/cycles).
   std::vector<NestTripStats> TripNests;
-
-  /// Folds \p O's per-nest histograms into this record, matching nests
-  /// by loop id (name wins when ids disagree, which only happens when
-  /// merging stats of different programs - then nests are appended).
-  void mergeTripNests(const std::vector<NestTripStats> &O) {
-    for (const NestTripStats &N : O) {
-      NestTripStats *Dst = nullptr;
-      for (NestTripStats &Mine : TripNests)
-        if (Mine.Name == N.Name) {
-          Dst = &Mine;
-          break;
-        }
-      if (!Dst) {
-        TripNests.push_back(NestTripStats{N.Name, N.Depth, {}});
-        Dst = &TripNests.back();
-      }
-      Dst->Hist.merge(N.Hist);
-    }
-  }
 
   /// Fraction of work-step lane slots doing useful work (1.0 = no idle
   /// processors). The paper's Fig. 6 trace shows exactly these gaps.

@@ -67,13 +67,9 @@ public:
     case Expr::Kind::IntLit:
       Out += std::to_string(cast<IntLit>(&E)->value());
       return;
-    case Expr::Kind::RealLit: {
-      std::string S = formatf("%g", cast<RealLit>(&E)->value());
-      if (S.find_first_of(".eE") == std::string::npos)
-        S += ".0";
-      Out += S;
+    case Expr::Kind::RealLit:
+      Out += formatDouble(cast<RealLit>(&E)->value());
       return;
-    }
     case Expr::Kind::BoolLit:
       Out += cast<BoolLit>(&E)->value() ? ".TRUE." : ".FALSE.";
       return;

@@ -11,11 +11,17 @@
 using namespace simdflat;
 using namespace simdflat::serve;
 
+namespace {
+
+/// Fixed overhead for the entry bookkeeping and the retained IR (the
+/// ir::Program is a small tree next to the lowered vectors; a constant
+/// keeps the estimate deterministic and cheap).
+constexpr size_t EntryOverheadBytes = 512;
+
+} // namespace
+
 size_t serve::programCostBytes(const transform::CompiledSimdProgram &P) {
-  // Fixed overhead for the entry bookkeeping and the retained IR (the
-  // ir::Program is a small tree next to the lowered vectors; a constant
-  // keeps the estimate deterministic and cheap).
-  size_t Bytes = 512;
+  size_t Bytes = EntryOverheadBytes;
   if (P.Code) {
     const exec::Program &E = *P.Code;
     Bytes += sizeof(exec::Program);
@@ -36,6 +42,10 @@ size_t serve::programCostBytes(const transform::CompiledSimdProgram &P) {
   return Bytes;
 }
 
+size_t serve::failureCostBytes(const std::string &Error) {
+  return EntryOverheadBytes + Error.size();
+}
+
 ProgramCache::ProgramCache(size_t Capacity)
     : ProgramCache(Options{std::max<size_t>(Capacity, 1), 0, 0, 0}) {}
 
@@ -49,76 +59,66 @@ ProgramCache::Outcome ProgramCache::getOrCompile(uint64_t Key,
   std::shared_ptr<Slot> Mine;
   {
     std::unique_lock<std::mutex> Lock(M);
-    for (;;) {
-      auto It = Map.find(Key);
-      if (It == Map.end())
-        break;
+    auto It = Map.find(Key);
+    if (It != Map.end()) {
       std::shared_ptr<Slot> Found = It->second;
-      if (!Found->Compiling) {
-        // Completed entries always hold a program: failures are never
-        // published into the map.
-        assert(Found->Prog && "completed slot without a program");
+      Outcome Out;
+      if (Found->Compiling) {
+        // Join the in-flight compile and share its verdict.
+        ++S.Waits;
+        Out.Waited = true;
+        Published.wait(Lock, [&] { return !Found->Compiling; });
+      } else {
         touchLocked(Key);
         ++S.Hits;
-        Outcome Out;
-        Out.Prog = Found->Prog;
         Out.Hit = true;
-        return Out;
       }
-      // Join the in-flight compile: wait for it to publish, then
-      // re-examine the map (the flight may have failed and erased the
-      // slot - in that case report its error rather than piling a
-      // second compile onto a failing program).
-      ++S.Waits;
-      Published.wait(Lock, [&] { return !Found->Compiling; });
-      Outcome Out;
-      Out.Waited = true;
-      if (Found->Prog) {
-        Out.Prog = Found->Prog;
-        return Out;
-      }
+      Out.Prog = Found->Prog;
       Out.Error = Found->Error;
       return Out;
     }
     // Miss: claim the flight.
     ++S.Misses;
     Mine = std::make_shared<Slot>();
-    Mine->Attempts = AttemptHistory[Key];
     Mine->Owner = Tenant.empty() ? defaultTenant() : Tenant;
     Map.emplace(Key, Mine);
   }
 
   // Compile outside the lock; other keys proceed, same-key lookups wait.
-  Expected<transform::CompiledSimdProgram, CompileFailure> Result =
-      Fn(Mine->Attempts);
+  auto Result = [&] {
+    try {
+      return Fn();
+    } catch (...) {
+      // Not a verdict: drop the flight and wake its waiters.
+      std::lock_guard<std::mutex> Lock(M);
+      Mine->Error = "internal error: the compile of this program threw";
+      Mine->Compiling = false;
+      Map.erase(Key);
+      Published.notify_all();
+      throw;
+    }
+  }();
 
   std::lock_guard<std::mutex> Lock(M);
-  AttemptHistory[Key] = Mine->Attempts;
-  Outcome Out;
-  Out.Attempts = Mine->Attempts;
   if (Result) {
     Mine->Prog = std::make_shared<const transform::CompiledSimdProgram>(
         std::move(*Result));
-    Mine->Compiling = false;
-    Mine->Cost = Opts.CostOverrideBytes ? Opts.CostOverrideBytes
-                                        : programCostBytes(*Mine->Prog);
-    S.BytesResident += (int64_t)Mine->Cost;
-    OwnerBytes[Mine->Owner] += Mine->Cost;
-    touchLocked(Key);
-    enforceBudgetsLocked(Mine->Owner, Key);
-    AttemptHistory.erase(Key); // success: the counter's job is done
-    Out.Prog = Mine->Prog;
+    Mine->Cost = programCostBytes(*Mine->Prog);
   } else {
-    // Failures are not cached: wake the waiters with the error, then
-    // erase the slot so the next request starts a fresh flight.
     Mine->Error = Result.error().render();
-    Mine->Compiling = false;
-    auto It = Map.find(Key);
-    if (It != Map.end() && It->second == Mine)
-      Map.erase(It);
-    Out.Error = Mine->Error;
+    Mine->Cost = failureCostBytes(Mine->Error);
   }
+  if (Opts.CostOverrideBytes)
+    Mine->Cost = Opts.CostOverrideBytes;
+  Mine->Compiling = false;
+  S.BytesResident += (int64_t)Mine->Cost;
+  OwnerBytes[Mine->Owner] += Mine->Cost;
+  touchLocked(Key);
+  enforceBudgetsLocked(Mine->Owner, Key);
   Published.notify_all();
+  Outcome Out;
+  Out.Prog = Mine->Prog;
+  Out.Error = Mine->Error;
   return Out;
 }
 

@@ -7,37 +7,41 @@
 /// \file
 /// The compile-once/run-many heart of the serving core: a bounded,
 /// cost-aware LRU cache from canonical program hash
-/// (transform::canonicalKey) to the compiled
-/// transform::CompiledSimdProgram, with single-flight compilation - when
-/// N requests for the same uncached program arrive concurrently, one
-/// compiles and N-1 wait on its result instead of compiling N times.
+/// (transform::canonicalKey) to the *verdict* of compiling it - the
+/// transform::CompiledSimdProgram, or the transform::PipelineError the
+/// pipeline returned. The paper's rewrites are static: whether GOTO
+/// recovery, flattening and SIMDization accept a nest depends only on
+/// the nest and the pipeline options, which the key encodes, so a
+/// failure is as cacheable as a success. Compilation is single-flight:
+/// when N requests for the same uncached key arrive concurrently, one
+/// compiles and N-1 wait on its verdict instead of compiling N times.
 ///
 /// Residency is bounded three ways, every bound enforced at publish
-/// time:
-///  * MaxEntries - the legacy count bound (LRU beyond it);
+/// time and applied to failure entries exactly as to programs:
+///  * MaxEntries - the count bound (LRU beyond it);
 ///  * MaxBytes - a byte budget over the estimated footprint of each
-///    compiled program (programCostBytes), evicting global LRU order;
+///    entry (programCostBytes, or failureCostBytes for a failure),
+///    evicting global LRU order;
 ///  * TenantMaxBytes - a per-tenant occupancy cap: entries are
 ///    attributed to the tenant whose request compiled them, and a
 ///    tenant over its cap evicts its *own* LRU entries first, so one
 ///    hot tenant cannot wash everyone else's programs out of a shared
 ///    cache.
 /// The entry just published is never chosen as its own victim: a tenant
-/// may always hold its newest program and the cache always serves the
-/// program it just compiled (caps are enforced against everything
+/// may always hold its newest verdict and the cache always serves the
+/// verdict it just computed (caps are enforced against everything
 /// else).
 ///
-/// Robustness contract (unchanged from the count-only cache):
+/// Robustness contract:
 ///  * Entries hand out shared_ptrs, so eviction (pressure or the fault
 ///    plan's mid-flight eviction) never invalidates a program a worker
 ///    is still executing.
-///  * Compile failures are returned to every waiter of that flight but
-///    are NOT cached: the next request retries from scratch. The
-///    per-key attempt counter survives, so transiently failing compiles
-///    make forward progress toward the attempt at which they succeed.
-///  * All waiting is bounded by the compiler callback returning; the
-///    callback owns retry/backoff policy, the cache owns mutual
-///    exclusion.
+///  * A compiler callback that throws is not a verdict: its flight's
+///    slot is removed, its waiters wake with an error, and the
+///    exception propagates to the caller. The next lookup of the key
+///    compiles afresh.
+///  * All waiting is bounded by the compiler callback returning or
+///    throwing.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -59,20 +63,15 @@
 namespace simdflat {
 namespace serve {
 
-/// A compile failure rendered for the reply. Transient tells waiters a
-/// retry might succeed (fault-injected failures set it).
-struct CompileFailure {
-  std::string Message;
-  bool Transient = false;
-
-  std::string render() const { return Message; }
-};
-
 /// Deterministic footprint estimate of one compiled program: the
 /// bytecode vectors and pools plus the retained IR, with a fixed
 /// per-entry overhead. Not an allocator-exact measure - a stable
 /// ordering key for cost-aware eviction.
 size_t programCostBytes(const transform::CompiledSimdProgram &P);
+
+/// Footprint estimate of one cached failure: the same fixed per-entry
+/// overhead plus the rendered error text.
+size_t failureCostBytes(const std::string &Error);
 
 class ProgramCache {
 public:
@@ -80,7 +79,7 @@ public:
     /// Completed entries kept (>= 1); in-flight compiles are pinned and
     /// do not count.
     size_t MaxEntries = 64;
-    /// Byte budget over programCostBytes (0 = unmetered).
+    /// Byte budget over the entries' estimated costs (0 = unmetered).
     size_t MaxBytes = 0;
     /// Per-tenant resident-byte cap (0 = unmetered).
     size_t TenantMaxBytes = 0;
@@ -104,46 +103,41 @@ public:
     int64_t BytesResident = 0;
   };
 
-  /// What one lookup produced. Prog is null iff the (joined) compile
-  /// failed; Error then carries the rendering.
+  /// What one lookup produced: the key's verdict. Prog is null iff the
+  /// compile failed; Error then carries the rendering.
   struct Outcome {
     std::shared_ptr<const transform::CompiledSimdProgram> Prog;
     std::string Error;
+    /// The verdict was already cached: no compile ran for this lookup.
     bool Hit = false;
-    /// This lookup joined another request's flight (either way, the
-    /// flight's result is shared).
+    /// This lookup joined another request's flight and shares its
+    /// verdict.
     bool Waited = false;
-    /// Compile attempts this lookup's own flight consumed (0 when Hit
-    /// or Waited).
-    int Attempts = 0;
   };
 
-  /// Compiles one program. \p Attempts is the key's lifetime attempt
-  /// counter: the callback increments it once per attempt it makes
-  /// (retries included) so fault plans can fail "the first N attempts"
-  /// across flights.
-  using Compiler =
-      std::function<Expected<transform::CompiledSimdProgram, CompileFailure>(
-          int &Attempts)>;
+  /// Compiles one program; the returned verdict is cached either way.
+  using Compiler = std::function<
+      Expected<transform::CompiledSimdProgram, transform::PipelineError>()>;
 
   /// Count-only bound (legacy single-tenant shape).
   explicit ProgramCache(size_t Capacity);
   explicit ProgramCache(Options O);
 
-  /// Returns the cached program for \p Key, joins an in-flight compile
+  /// Returns the cached verdict for \p Key, joins an in-flight compile
   /// of it, or runs \p Fn to fill it (single-flight: at most one
   /// concurrent Fn per key). Blocks only while a flight for this key is
   /// running. \p Tenant attributes a newly compiled entry for the
-  /// per-tenant occupancy cap (empty: the default tenant).
+  /// per-tenant occupancy cap (empty: the default tenant). Rethrows
+  /// whatever \p Fn throws, caching nothing.
   Outcome getOrCompile(uint64_t Key, const Compiler &Fn,
                        const std::string &Tenant = std::string());
 
-  /// Drops the completed entry for \p Key if present (no-op for keys
-  /// mid-compile; the flight will publish and is evictable afterwards).
-  /// Outstanding shared_ptrs stay valid.
+  /// Drops the completed entry (program or failure) for \p Key if
+  /// present (no-op for keys mid-compile; the flight will publish and
+  /// is evictable afterwards). Outstanding shared_ptrs stay valid.
   void evict(uint64_t Key);
 
-  /// Completed entries currently resident.
+  /// Completed entries (programs and failures) currently resident.
   size_t size() const;
   /// Estimated bytes currently resident.
   size_t bytesResident() const;
@@ -157,9 +151,6 @@ private:
     std::shared_ptr<const transform::CompiledSimdProgram> Prog;
     std::string Error;
     bool Compiling = true;
-    /// Lifetime compile attempts for this key (survives failed
-    /// flights via AttemptHistory).
-    int Attempts = 0;
     /// Estimated footprint charged against the budgets.
     size_t Cost = 0;
     /// Tenant whose request compiled the entry (occupancy attribution;
@@ -182,9 +173,6 @@ private:
   std::unordered_map<uint64_t, std::shared_ptr<Slot>> Map;
   /// Completed keys only, most recent first.
   std::list<uint64_t> Lru;
-  /// Attempt counters that outlive failed flights (their slots are
-  /// erased so the next request retries).
-  std::unordered_map<uint64_t, int> AttemptHistory;
   /// Resident bytes per owning tenant.
   std::unordered_map<std::string, size_t> OwnerBytes;
   Options Opts;

@@ -24,7 +24,7 @@
 ///
 /// FaultPlan is the serving-layer counterpart of the fuzz campaign's
 /// fault knobs: the campaign uses it to hammer the cache, the workers
-/// and the breaker the same way it hammers the executors.
+/// and the fallback path the same way it hammers the executors.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -170,16 +170,14 @@ struct Telemetry {
   int64_t CompileNanos = 0;
   /// Time executing.
   int64_t RunNanos = 0;
-  /// The compiled program came out of the cache.
+  /// Every cache lookup this request made found its verdict cached: no
+  /// pipeline ran for this request.
   bool CacheHit = false;
   /// Joined another request's in-flight compile of the same program.
   bool CoalescedCompile = false;
-  /// Served from the unflattened fallback (circuit breaker open, or
-  /// primary pipeline failed for this request).
+  /// Served from the unflattened fallback: the primary pipeline's
+  /// verdict for this program is a failure.
   bool Fallback = false;
-  /// Compile attempts this request paid for (retries included; 0 on a
-  /// hit).
-  int CompileAttempts = 0;
   /// Instructions the run charged (the fuel actually spent; 0 when the
   /// run trapped or never started).
   int64_t FuelSpent = 0;
@@ -235,11 +233,10 @@ struct Reply {
 /// fuzz::FaultKind for the executors. All knobs default off; the serve
 /// campaign and tests/serve turn them on one at a time.
 struct FaultPlan {
-  /// Fail the first N compile attempts of every *primary* (flattened)
-  /// pipeline run with a transient error. The unflattened fallback is
-  /// never injected, so the circuit breaker's quarantine path stays
-  /// exercisable: the injected stage is the flattener.
-  int CompileFailures = 0;
+  /// Every *primary* (flattened) compile fails with a PipelineError in
+  /// the flatten stage. The unflattened fallback is never injected, so
+  /// the degraded path stays exercised and its verdicts stay cached.
+  bool FailPrimary = false;
   /// Evict the compiled program from the cache immediately after every
   /// lookup, while the request that fetched it is still running - the
   /// shared_ptr handoff must keep the program alive.
@@ -275,9 +272,6 @@ struct ServerStats {
   int64_t CacheBytesResident = 0;
   /// Requests that joined an in-flight compile (single-flight).
   int64_t CompilesCoalesced = 0;
-  /// Compile attempts beyond each request's first (backoff retries).
-  int64_t CompileRetries = 0;
-  int64_t BreakerOpens = 0;
   /// Requests served from the unflattened fallback.
   int64_t FallbackServes = 0;
   /// Sheds caused by a tenant quota refusing admission (subset of

@@ -189,7 +189,6 @@ json::Value serve::toJson(const Reply &R) {
   Tele.set("cache_hit", R.Tele.CacheHit);
   Tele.set("coalesced_compile", R.Tele.CoalescedCompile);
   Tele.set("fallback", R.Tele.Fallback);
-  Tele.set("compile_attempts", R.Tele.CompileAttempts);
   Tele.set("fuel_spent", R.Tele.FuelSpent);
   Tele.set("cycles_spent", R.Tele.CyclesSpent);
   Tele.set("strategy", R.Tele.Strategy);
@@ -211,7 +210,6 @@ json::Value serve::telemetryJson(const Reply &R) {
   O.set("cache_hit", R.Tele.CacheHit);
   O.set("coalesced_compile", R.Tele.CoalescedCompile);
   O.set("fallback", R.Tele.Fallback);
-  O.set("compile_attempts", R.Tele.CompileAttempts);
   O.set("fuel_spent", R.Tele.FuelSpent);
   O.set("cycles_spent", R.Tele.CyclesSpent);
   O.set("strategy", R.Tele.Strategy);
@@ -285,8 +283,6 @@ json::Value serve::toJson(const ServerStats &S) {
   O.set("cache_tenant_evictions", S.CacheTenantEvictions);
   O.set("cache_bytes_resident", S.CacheBytesResident);
   O.set("compiles_coalesced", S.CompilesCoalesced);
-  O.set("compile_retries", S.CompileRetries);
-  O.set("breaker_opens", S.BreakerOpens);
   O.set("fallback_serves", S.FallbackServes);
   O.set("quota_sheds", S.QuotaSheds);
   O.set("drain_sheds", S.DrainSheds);
@@ -424,10 +420,6 @@ Expected<Reply, std::string> serve::parseReply(const json::Value &V) {
         return std::string("'telemetry.cycles_spent' must be a number");
       R.Tele.CyclesSpent = Cyc->asDouble();
     }
-    int64_t Attempts = 0;
-    if (!readInt(*Tele, "compile_attempts", Attempts, Err))
-      return Err;
-    R.Tele.CompileAttempts = (int)Attempts;
     if (!readBool(*Tele, "cache_hit", R.Tele.CacheHit, Err) ||
         !readBool(*Tele, "coalesced_compile", R.Tele.CoalescedCompile, Err) ||
         !readBool(*Tele, "fallback", R.Tele.Fallback, Err))

@@ -139,7 +139,7 @@ bool serve::outcomeFromName(const std::string &Name, Outcome &Out) {
 }
 
 Server::Server(ServerOptions O)
-    : Opts(O), Cache(cacheOptions(O)), Breaker(O.Breaker),
+    : Opts(O), Cache(cacheOptions(O)),
       Tenants(O.DefaultQuota, O.QuotaClock) {
   for (const auto &[Name, Q] : Opts.TenantQuotas)
     Tenants.setQuota(Name, Q);
@@ -402,22 +402,6 @@ void Server::recordObservedTrips(
   {
     std::lock_guard<std::mutex> Lock(AdaptiveM);
     AdaptiveState &S = AdaptiveStates[BaseKey];
-    auto FoldInto = [](std::vector<interp::NestTripStats> &Window,
-                       const std::vector<interp::NestTripStats> &Run) {
-      for (const interp::NestTripStats &N : Run) {
-        interp::NestTripStats *Dst = nullptr;
-        for (interp::NestTripStats &Mine : Window)
-          if (Mine.Name == N.Name) {
-            Dst = &Mine;
-            break;
-          }
-        if (!Dst) {
-          Window.push_back(interp::NestTripStats{N.Name, N.Depth, {}});
-          Dst = &Window.back();
-        }
-        Dst->Hist.merge(N.Hist);
-      }
-    };
     if (Opts.AdaptiveWindow > 0) {
       // Recency-weighted mode: the evaluation window is exactly the
       // last AdaptiveWindow probe runs, rebuilt from the ring, so old
@@ -427,9 +411,9 @@ void Server::recordObservedTrips(
         S.Ring.pop_front();
       S.Window.clear();
       for (const std::vector<interp::NestTripStats> &Run : S.Ring)
-        FoldInto(S.Window, Run);
+        interp::mergeTripNests(S.Window, Run);
     } else {
-      FoldInto(S.Window, Nests);
+      interp::mergeTripNests(S.Window, Nests);
     }
     const interp::NestTripStats *Dom = analysis::dominantTripNest(S.Window);
     if (!Dom || Dom->Hist.Samples < Opts.AdaptiveMinSamples)
@@ -495,8 +479,7 @@ Reply Server::process(Job &J) {
   }
 
   // Parse + GOTO recovery. Parse failures are program defects -
-  // CompileError, no breaker involvement (the breaker quarantines the
-  // *pipeline*, not the caller's typos).
+  // CompileError before any cache lookup.
   frontend::ParseResult PR = frontend::parseProgram(R.Source);
   if (!PR.ok()) {
     Reply Rep = compileError(J, PR.Diags.renderAll());
@@ -513,7 +496,7 @@ Reply Server::process(Job &J) {
   }
 
   // Compile (or fetch) the primary flattened program; degrade to the
-  // unflattened fallback when the primary fails or its breaker is open.
+  // unflattened fallback when the primary's verdict is a failure.
   transform::PipelineOptions Primary;
   Primary.Layout = Opts.Layout;
   Primary.Flatten = true;
@@ -536,70 +519,25 @@ Reply Server::process(Job &J) {
   transform::CanonicalKey PK = transform::canonicalKey(Prog, Primary);
 
   Clock::time_point CompileStart = Clock::now();
-  std::shared_ptr<const transform::CompiledSimdProgram> Code;
-  std::string PrimaryError;
   uint64_t FallbackKey = 0;
-
-  CircuitBreaker::State Route = Breaker.admit(PK.Hash);
-  if (Route != CircuitBreaker::State::Open) {
-    ProgramCache::Outcome CO = Cache.getOrCompile(
-        PK.Hash,
-        [&](int &Attempts)
-            -> Expected<transform::CompiledSimdProgram, CompileFailure> {
-          std::string LastErr;
-          bool LastTransient = false;
-          for (int Try = 0; Try <= Opts.CompileRetries; ++Try) {
-            if (Try > 0) {
-              {
-                std::lock_guard<std::mutex> Lock(StatsM);
-                ++Stats.CompileRetries;
-              }
-              // Exponential backoff between attempts, capped.
-              int64_t Micros = Opts.BackoffBaseMicros << (Try - 1);
-              Micros = std::min(Micros, Opts.BackoffCapMicros);
-              if (Micros > 0)
-                std::this_thread::sleep_for(
-                    std::chrono::microseconds(Micros));
-            }
-            int Attempt = ++Attempts;
-            if (Attempt <= Opts.Faults.CompileFailures) {
-              std::ostringstream OS;
-              OS << "injected transient compile failure (attempt " << Attempt
-                 << " of the first " << Opts.Faults.CompileFailures
-                 << " failing)";
-              LastErr = OS.str();
-              LastTransient = true;
-              continue;
-            }
-            auto C = transform::compileForSimdExec(Prog, Primary);
-            if (C)
-              return std::move(*C);
-            // A real pipeline failure is deterministic; retrying the
-            // identical input is pointless.
-            LastErr = C.error().render();
-            LastTransient = false;
-            break;
-          }
-          return CompileFailure{LastErr, LastTransient};
-        },
-        J.Tenant);
-    Tele.CacheHit = CO.Hit;
-    Tele.CoalescedCompile = CO.Waited;
-    Tele.CompileAttempts = CO.Attempts;
-    if (CO.Prog) {
-      Breaker.recordSuccess(PK.Hash);
-      Code = CO.Prog;
-    } else {
-      Breaker.recordFailure(PK.Hash);
-      PrimaryError = CO.Error;
-    }
-  }
+  ProgramCache::Outcome CO = Cache.getOrCompile(
+      PK.Hash,
+      [&]() -> Expected<transform::CompiledSimdProgram,
+                        transform::PipelineError> {
+        if (Opts.Faults.FailPrimary)
+          return transform::PipelineError{
+              "flatten", {"injected failure (fault plan: fail primary)"}};
+        return transform::compileForSimdExec(Prog, Primary);
+      },
+      J.Tenant);
+  Tele.CacheHit = CO.Hit;
+  Tele.CoalescedCompile = CO.Waited;
+  std::shared_ptr<const transform::CompiledSimdProgram> Code = CO.Prog;
 
   if (!Code) {
-    // Breaker open, or the primary compile failed for this request:
-    // serve the unflattened program. Its pipeline skips the flattener -
-    // the stage the fault plan injects into - so the fallback is the
-    // degraded-but-alive path.
+    // The primary verdict is a failure: serve the unflattened program.
+    // Its pipeline skips the flattener - the stage the fault plan
+    // injects into - so the fallback is the degraded-but-alive path.
     transform::PipelineOptions FB = Primary;
     FB.Flatten = false;
     // The fallback is always the plain unflattened program - never a
@@ -607,30 +545,20 @@ Reply Server::process(Job &J) {
     // server's and a bad adaptive choice cannot poison the degraded
     // path.
     FB.Strategy.reset();
-    transform::CanonicalKey FK = transform::canonicalKey(Prog, FB);
-    FallbackKey = FK.Hash;
-    ProgramCache::Outcome CO = Cache.getOrCompile(
-        FK.Hash,
-        [&](int &Attempts)
-            -> Expected<transform::CompiledSimdProgram, CompileFailure> {
-          ++Attempts;
-          auto C = transform::compileForSimdExec(Prog, FB);
-          if (C)
-            return std::move(*C);
-          return CompileFailure{C.error().render(), false};
-        },
+    FallbackKey = transform::canonicalKey(Prog, FB).Hash;
+    ProgramCache::Outcome FO = Cache.getOrCompile(
+        FallbackKey, [&] { return transform::compileForSimdExec(Prog, FB); },
         J.Tenant);
-    if (!CO.Prog) {
-      std::string Err = CO.Error;
-      if (!PrimaryError.empty())
-        Err = "primary pipeline: " + PrimaryError +
-              "; fallback pipeline: " + Err;
-      Reply Rep = compileError(J, Err);
+    Tele.CacheHit = Tele.CacheHit && FO.Hit;
+    Tele.CoalescedCompile = Tele.CoalescedCompile || FO.Waited;
+    if (!FO.Prog) {
+      Reply Rep = compileError(J, "primary pipeline: " + CO.Error +
+                                      "; fallback pipeline: " + FO.Error);
       Rep.Tele = Tele;
       Rep.Tele.CompileNanos = nanosSince(CompileStart);
       return Rep;
     }
-    Code = CO.Prog;
+    Code = FO.Prog;
     Tele.Fallback = true;
     Tele.Strategy = "static";
     Tele.StrategyEpoch = 0;
@@ -672,8 +600,8 @@ Reply Server::process(Job &J) {
     // and a failure is a cached verdict, not a per-request retry
     // storm). When the tier cannot deliver - no toolchain, the emitter
     // declined the program, or the host compile failed - this request
-    // degrades to the bytecode engine and is counted: the
-    // breaker/fallback philosophy applied one tier down.
+    // degrades to the bytecode engine and is counted: the fallback
+    // philosophy applied one tier down.
     Clock::time_point NativeStart = Clock::now();
     bool Ready = codegen::prepareNative(*Code->Code, Code->Prog, M);
     Tele.CompileNanos += nanosSince(NativeStart);
@@ -717,8 +645,8 @@ Reply Server::process(Job &J) {
   Rep.Tele.FuelSpent = Out->Stats.Instructions;
   Rep.Tele.CyclesSpent = Out->Stats.Cycles;
   // Feed the profile from probe runs only: an exploit variant's loops
-  // report its own schedule, not the source trips, and a breaker-open
-  // spell serving the fallback must not register as drift either.
+  // report its own schedule, not the source trips, and a spell of
+  // fallback serves must not register as drift either.
   if (ProfileThisRun && !Tele.Fallback && !Out->Stats.TripNests.empty())
     recordObservedTrips(BaseKey, Out->Stats.TripNests, R.Lanes);
   if (R.WantArrays) {
@@ -803,7 +731,6 @@ ServerStats Server::stats() const {
   Out.CacheTenantEvictions = CS.TenantEvictions;
   Out.CacheBytesResident = CS.BytesResident;
   Out.CompilesCoalesced = CS.Waits;
-  Out.BreakerOpens = Breaker.stats().Opens;
   Out.Tenants = Tenants.statsSnapshot();
   return Out;
 }

@@ -7,8 +7,8 @@
 /// \file
 /// The compile-once/run-many serving core behind flattend. A Server
 /// owns a worker thread pool fed by a bounded, weighted-fair admission
-/// queue, the shared ProgramCache (byte-budgeted LRU + single-flight),
-/// a per-program-hash CircuitBreaker, and a TenantRegistry enforcing
+/// queue, the shared ProgramCache (byte-budgeted LRU + single-flight,
+/// caching each compile's verdict), and a TenantRegistry enforcing
 /// per-tenant quotas. Every submitted Request resolves to exactly one
 /// structured Reply - the server never crashes, hangs, or drops a
 /// request on the floor:
@@ -25,16 +25,18 @@
 ///    enforced in the queue (shed), through compilation (shed) and
 ///    inside the dispatch loop (DeadlineExpired trap); queue timeouts
 ///    shed before any work is spent.
-///  * Failure containment: program faults are Trapped replies; compile
-///    failures retry with exponential backoff, trip the breaker, and
-///    degrade to the unflattened fallback; a worker-side exception
-///    becomes a CompileError reply, not a dead thread.
+///  * Failure containment: program faults are Trapped replies; a
+///    primary-pipeline failure is a cached verdict that degrades every
+///    request for that program to the unflattened fallback, so each
+///    key costs at most one pipeline run per cache residency; a
+///    worker-side exception becomes a CompileError reply, not a dead
+///    thread.
 ///  * Lifecycle: beginDrain() stops admission (submissions shed with a
 ///    structured draining status) while queued and executing requests
 ///    finish; drain() waits for full resolution, shedding whatever is
 ///    still *queued* when the hard deadline passes. The destructor
 ///    remains an abrupt stop (workers shed the queue and exit).
-///  * FaultPlan wires the campaign's faults (injected compile failure,
+///  * FaultPlan wires the campaign's faults (failing primary compiles,
 ///    mid-flight eviction, worker stall, inflated cache costs) into all
 ///    of the above.
 ///
@@ -46,7 +48,6 @@
 #include "analysis/Profitability.h"
 #include "interp/RunStats.h"
 #include "machine/Machine.h"
-#include "serve/CircuitBreaker.h"
 #include "serve/FairQueue.h"
 #include "serve/ProgramCache.h"
 #include "serve/Serve.h"
@@ -82,13 +83,6 @@ struct ServerOptions {
   int64_t MaxFuel = 0;
   /// Admission bound on source size (hostile-input guard).
   size_t MaxSourceBytes = 1u << 20;
-  /// Compile attempts beyond the first before giving up on a
-  /// transiently failing compile.
-  int CompileRetries = 2;
-  /// Exponential backoff between compile retries: base * 2^(try-1),
-  /// capped. Kept in microseconds so tests stay fast.
-  int64_t BackoffBaseMicros = 200;
-  int64_t BackoffCapMicros = 20'000;
   /// Base retry hint attached to load-shed replies. Congestion sheds
   /// scale it by queue depth (base * (1 + depth/workers)); quota sheds
   /// use the bucket refill time when it is larger.
@@ -155,7 +149,6 @@ struct ServerOptions {
   /// transform::StrategyPolicy).
   int64_t AdaptiveCoalesceMaxOuter = 64;
   int64_t AdaptiveCoalesceMaxTotal = 4096;
-  CircuitBreaker::Options Breaker;
   FaultPlan Faults;
 };
 
@@ -186,7 +179,7 @@ public:
   /// Admission is closed (beginDrain was called).
   bool draining() const;
 
-  /// Snapshot of the counters (cache/breaker/tenant numbers merged in).
+  /// Snapshot of the counters (cache/tenant numbers merged in).
   ServerStats stats() const;
   /// Per-tenant counter snapshot (also embedded in stats()).
   std::map<std::string, TenantStats> tenantStats() const;
@@ -198,8 +191,6 @@ public:
 
   /// The shared program cache (tests observe size/stats).
   const ProgramCache &cache() const { return Cache; }
-  /// The breaker (tests observe per-key state).
-  const CircuitBreaker &breaker() const { return Breaker; }
   /// The tenant registry (tests observe quotas and per-tenant state).
   const TenantRegistry &tenants() const { return Tenants; }
 
@@ -279,7 +270,6 @@ private:
 
   ServerOptions Opts;
   ProgramCache Cache;
-  CircuitBreaker Breaker;
   TenantRegistry Tenants;
 
   mutable std::mutex QueueM;

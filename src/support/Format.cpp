@@ -3,7 +3,9 @@
 #include "support/Format.h"
 
 #include <cassert>
+#include <cmath>
 #include <cstdio>
+#include <cstdlib>
 
 using namespace simdflat;
 
@@ -24,6 +26,20 @@ std::string simdflat::formatf(const char *Fmt, ...) {
   std::string Out = vformatf(Fmt, Args);
   va_end(Args);
   return Out;
+}
+
+std::string simdflat::formatDouble(double D) {
+  if (!std::isfinite(D))
+    return formatf("%g", D);
+  for (int Prec = 1; Prec <= 17; ++Prec) {
+    std::string S = formatf("%.*g", Prec, D);
+    if (std::strtod(S.c_str(), nullptr) == D) {
+      if (S.find_first_of(".eE") == std::string::npos)
+        S += ".0";
+      return S;
+    }
+  }
+  return formatf("%.17g", D); // unreachable: 17 digits always round-trip
 }
 
 std::string simdflat::padLeft(const std::string &S, size_t Width) {

@@ -26,6 +26,11 @@ std::string formatf(const char *Fmt, ...)
 /// vprintf variant of formatf.
 std::string vformatf(const char *Fmt, va_list Args);
 
+/// Shortest decimal form that round-trips \p D; integral values keep a
+/// ".0" so a reader can tell them from integers. Non-finite values
+/// print as "%g" does.
+std::string formatDouble(double D);
+
 /// Pads \p S with spaces on the left to width \p Width (no-op if longer).
 std::string padLeft(const std::string &S, size_t Width);
 

@@ -114,28 +114,6 @@ std::string json::escapeString(std::string_view S) {
   return Out;
 }
 
-namespace {
-
-/// Shortest decimal form that round-trips a double; integral-valued
-/// doubles keep a ".0" so the reader can tell them from ints.
-std::string formatDouble(double D) {
-  if (std::isnan(D))
-    return "null"; // JSON has no NaN; benches never emit one on purpose.
-  if (std::isinf(D))
-    return D > 0 ? "1e308" : "-1e308";
-  for (int Prec = 1; Prec <= 17; ++Prec) {
-    std::string S = formatf("%.*g", Prec, D);
-    if (std::stod(S) == D) {
-      if (S.find_first_of(".eE") == std::string::npos)
-        S += ".0";
-      return S;
-    }
-  }
-  return formatf("%.17g", D);
-}
-
-} // namespace
-
 std::string Value::dump(int Indent) const {
   std::string Pad(static_cast<size_t>(Indent) * 2, ' ');
   std::string PadIn(static_cast<size_t>(Indent + 1) * 2, ' ');
@@ -147,6 +125,11 @@ std::string Value::dump(int Indent) const {
   case Kind::Int:
     return formatf("%lld", static_cast<long long>(IntV));
   case Kind::Double:
+    // JSON has no NaN or infinity; benches never emit one on purpose.
+    if (std::isnan(DoubleV))
+      return "null";
+    if (std::isinf(DoubleV))
+      return DoubleV > 0 ? "1e308" : "-1e308";
     return formatDouble(DoubleV);
   case Kind::String: {
     // Built via append to dodge a GCC 12 -O2 -Wrestrict false positive

@@ -105,18 +105,18 @@ TEST(TripHistogram, ConsistencyRejectsTamperedCounts) {
 }
 
 TEST(TripHistogram, MergeTripNestsMatchesByName) {
-  RunStats A, B;
-  A.TripNests.push_back({"L0 do i", 0, {}});
-  A.TripNests[0].Hist.record(3);
-  B.TripNests.push_back({"L0 do i", 0, {}});
-  B.TripNests[0].Hist.record(5);
-  B.TripNests.push_back({"L1 while", 1, {}});
-  B.TripNests[1].Hist.record(9);
-  A.mergeTripNests(B.TripNests);
-  ASSERT_EQ(A.TripNests.size(), 2u);
-  EXPECT_EQ(A.TripNests[0].Hist.Samples, 2);
-  EXPECT_EQ(A.TripNests[1].Name, "L1 while");
-  EXPECT_EQ(A.TripNests[1].Hist.Samples, 1);
+  std::vector<NestTripStats> A, B;
+  A.push_back({"L0 do i", 0, {}});
+  A[0].Hist.record(3);
+  B.push_back({"L0 do i", 0, {}});
+  B[0].Hist.record(5);
+  B.push_back({"L1 while", 1, {}});
+  B[1].Hist.record(9);
+  mergeTripNests(A, B);
+  ASSERT_EQ(A.size(), 2u);
+  EXPECT_EQ(A[0].Hist.Samples, 2);
+  EXPECT_EQ(A[1].Name, "L1 while");
+  EXPECT_EQ(A[1].Hist.Samples, 1);
 }
 
 } // namespace

@@ -2,6 +2,7 @@
 
 #include "ir/Printer.h"
 
+#include "frontend/Parser.h"
 #include "ir/Builder.h"
 #include "workloads/PaperKernels.h"
 
@@ -33,6 +34,20 @@ TEST_F(PrinterTest, Literals) {
   EXPECT_EQ(printExpr(*B.lit(3.0)), "3.0"); // decimal point forced
   EXPECT_EQ(printExpr(*B.lit(true)), ".TRUE.");
   EXPECT_EQ(printExpr(*B.lit(false)), ".FALSE.");
+}
+
+TEST_F(PrinterTest, RealLiteralsRoundTrip) {
+  // The printed IR is the compiled-program cache key, so a real literal
+  // must print in full: parsing the printed form gives the same double.
+  for (double V : {1234569.9, 0.1, 1e-300}) {
+    std::string Printed = printExpr(*B.lit(V));
+    frontend::ParseResult PR = frontend::parseProgram(
+        "PROGRAM T\nREAL x\nBEGIN\n  x = " + Printed + "\nEND\n");
+    ASSERT_TRUE(PR.ok()) << Printed << "\n" << PR.Diags.renderAll();
+    const auto *A = cast<AssignStmt>(PR.Prog->body()[0].get());
+    EXPECT_EQ(cast<RealLit>(&A->value())->value(), V) << Printed;
+  }
+  EXPECT_EQ(printExpr(*B.lit(1234569.9)), "1234569.9");
 }
 
 TEST_F(PrinterTest, PrecedenceMinimalParens) {

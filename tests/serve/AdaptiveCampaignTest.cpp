@@ -44,6 +44,19 @@ TEST(AdaptiveCampaign, AllPhasesHoldTheAdaptivityContract) {
             R.StrategiesSeen.end());
 }
 
+TEST(AdaptiveCampaign, ChaosBurstFitsItsQueue) {
+  // The chaos phase submits 3 x Count requests before collecting any;
+  // its queue must hold the burst, or sheds read as campaign failures.
+  AdaptiveCampaignOptions Opts;
+  Opts.BaseSeed = 1;
+  Opts.Count = 50;
+  AdaptiveCampaignResult R = runAdaptiveCampaign(Opts);
+  for (const std::string &F : R.Failures)
+    ADD_FAILURE() << F;
+  EXPECT_TRUE(R.ok());
+  EXPECT_EQ(R.Shed, 0);
+}
+
 TEST(AdaptiveCampaign, DeterministicAcrossReruns) {
   // Same seed, same trip schedule: a CI failure reproduces locally.
   // The drift phase is single-worker and sequential, so even the

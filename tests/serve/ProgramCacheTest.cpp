@@ -1,8 +1,9 @@
 //===- tests/serve/ProgramCacheTest.cpp ------------------------*- C++ -*-===//
 //
 // The compile-once/run-many cache contract: LRU bounds, single-flight
-// compilation, failure-not-cached with a surviving attempt counter, and
-// eviction that never invalidates a handed-out program.
+// compilation, failure verdicts cached like programs, a throwing
+// compile that caches nothing and wedges nobody, and eviction that
+// never invalidates a handed-out program.
 //
 //===----------------------------------------------------------------------===//
 
@@ -14,6 +15,8 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <future>
+#include <stdexcept>
 #include <thread>
 #include <vector>
 
@@ -21,6 +24,9 @@ using namespace simdflat;
 using namespace simdflat::serve;
 
 namespace {
+
+using Verdict =
+    Expected<transform::CompiledSimdProgram, transform::PipelineError>;
 
 /// One real compiled program all tests share as the cache payload.
 transform::CompiledSimdProgram compiledFixture() {
@@ -37,12 +43,20 @@ transform::CompiledSimdProgram compiledFixture() {
 }
 
 ProgramCache::Compiler okCompiler(std::atomic<int> *Runs = nullptr) {
-  return [Runs](int &Attempts) {
-    ++Attempts;
+  return [Runs] {
     if (Runs)
       ++*Runs;
-    return Expected<transform::CompiledSimdProgram, CompileFailure>(
-        compiledFixture());
+    return Verdict(compiledFixture());
+  };
+}
+
+const transform::PipelineError Injected{"flatten", {"injected"}};
+
+ProgramCache::Compiler failingCompiler(std::atomic<int> *Runs = nullptr) {
+  return [Runs] {
+    if (Runs)
+      ++*Runs;
+    return Verdict(Injected);
   };
 }
 
@@ -53,12 +67,10 @@ TEST(ProgramCache, MissThenHit) {
   ASSERT_NE(First.Prog, nullptr);
   EXPECT_FALSE(First.Hit);
   EXPECT_FALSE(First.Waited);
-  EXPECT_EQ(First.Attempts, 1);
 
   ProgramCache::Outcome Second = C.getOrCompile(1, okCompiler(&Runs));
   ASSERT_NE(Second.Prog, nullptr);
   EXPECT_TRUE(Second.Hit);
-  EXPECT_EQ(Second.Attempts, 0);
   EXPECT_EQ(Runs.load(), 1) << "a hit must not recompile";
   EXPECT_EQ(Second.Prog, First.Prog) << "hits share the entry";
 
@@ -73,13 +85,11 @@ TEST(ProgramCache, SingleFlightCompilesOnce) {
   // everyone gets the same program.
   ProgramCache C(4);
   std::atomic<int> Runs{0};
-  ProgramCache::Compiler Slow = [&Runs](int &Attempts) {
-    ++Attempts;
+  ProgramCache::Compiler Slow = [&Runs] {
     ++Runs;
     // Long enough that the other threads reliably join the flight.
     std::this_thread::sleep_for(std::chrono::milliseconds(20));
-    return Expected<transform::CompiledSimdProgram, CompileFailure>(
-        compiledFixture());
+    return Verdict(compiledFixture());
   };
   constexpr int N = 8;
   std::vector<ProgramCache::Outcome> Out(N);
@@ -96,30 +106,97 @@ TEST(ProgramCache, SingleFlightCompilesOnce) {
   }
 }
 
-TEST(ProgramCache, FailureIsNotCachedButAttemptsSurvive) {
+TEST(ProgramCache, FailureVerdictIsCached) {
   ProgramCache C(4);
   std::atomic<int> Runs{0};
-  ProgramCache::Compiler FailOnce = [&Runs](int &Attempts) {
-    int Attempt = ++Attempts;
-    ++Runs;
-    if (Attempt == 1)
-      return Expected<transform::CompiledSimdProgram, CompileFailure>(
-          CompileFailure{"injected", /*Transient=*/true});
-    return Expected<transform::CompiledSimdProgram, CompileFailure>(
-        compiledFixture());
-  };
-  ProgramCache::Outcome First = C.getOrCompile(3, FailOnce);
+  ProgramCache::Outcome First = C.getOrCompile(3, failingCompiler(&Runs));
   EXPECT_EQ(First.Prog, nullptr);
-  EXPECT_EQ(First.Error, "injected");
-  EXPECT_EQ(C.size(), 0u) << "failures must not occupy a slot";
+  EXPECT_FALSE(First.Hit);
+  EXPECT_EQ(First.Error, Injected.render());
+  EXPECT_EQ(C.size(), 1u) << "a failure occupies a slot like a program";
+  EXPECT_EQ(C.bytesResident(), failureCostBytes(Injected.render()));
 
-  // The next lookup re-runs the compiler, and the per-key attempt
-  // counter resumed at 1, so attempt 2 succeeds.
-  ProgramCache::Outcome Second = C.getOrCompile(3, FailOnce);
-  ASSERT_NE(Second.Prog, nullptr);
-  EXPECT_EQ(Second.Attempts, 2)
-      << "attempt history must survive the failed flight";
-  EXPECT_EQ(Runs.load(), 2);
+  // The verdict is static: the repeat is a hit with the same error, and
+  // the compiler never runs again.
+  ProgramCache::Outcome Second = C.getOrCompile(3, okCompiler(&Runs));
+  EXPECT_EQ(Second.Prog, nullptr);
+  EXPECT_TRUE(Second.Hit);
+  EXPECT_EQ(Second.Error, First.Error);
+  EXPECT_EQ(Runs.load(), 1);
+  ProgramCache::Stats S = C.stats();
+  EXPECT_EQ(S.Misses, 1);
+  EXPECT_EQ(S.Hits, 1);
+}
+
+TEST(ProgramCache, FailureVerdictsObeyTheBounds) {
+  // Failures are charged and evicted exactly like programs: a stream of
+  // distinct failing keys never grows the cache past its bounds.
+  ProgramCache::Options O;
+  O.MaxEntries = 4;
+  O.TenantMaxBytes = 3 * failureCostBytes(Injected.render());
+  ProgramCache C(O);
+  for (uint64_t Key = 0; Key < 100; ++Key)
+    EXPECT_EQ(C.getOrCompile(Key, failingCompiler(), "t").Prog, nullptr);
+  EXPECT_EQ(C.size(), 3u);
+  EXPECT_EQ(C.tenantBytes("t"), O.TenantMaxBytes);
+  ProgramCache::Stats S = C.stats();
+  EXPECT_EQ(S.Misses, 100);
+  EXPECT_EQ(S.TenantEvictions, 97);
+  // The freshest verdicts are the resident ones.
+  EXPECT_TRUE(C.getOrCompile(99, okCompiler(), "t").Hit);
+  EXPECT_FALSE(C.getOrCompile(0, okCompiler(), "t").Hit);
+}
+
+/// Looks \p Key up on a detached thread, so a wedged key fails the
+/// test at its bounded wait instead of hanging it.
+std::future<ProgramCache::Outcome>
+lookupDetached(std::shared_ptr<ProgramCache> C, uint64_t Key) {
+  auto P = std::make_shared<std::promise<ProgramCache::Outcome>>();
+  std::future<ProgramCache::Outcome> F = P->get_future();
+  std::thread([C, P, Key] {
+    P->set_value(C->getOrCompile(Key, okCompiler()));
+  }).detach();
+  return F;
+}
+
+TEST(ProgramCache, ThrowingCompileCachesNothingAndWedgesNoOne) {
+  auto C = std::make_shared<ProgramCache>(4);
+  std::atomic<bool> Release{false};
+  ProgramCache::Compiler Throws = [&]() -> Verdict {
+    // Hold the flight until a second lookup has joined it.
+    while (!Release.load())
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    throw std::runtime_error("out of memory");
+  };
+  std::thread Owner([&] {
+    EXPECT_THROW(C->getOrCompile(5, Throws), std::runtime_error);
+  });
+  while (C->stats().Misses == 0)
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  std::future<ProgramCache::Outcome> Joiner = lookupDetached(C, 5);
+  while (C->stats().Waits == 0)
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  Release = true;
+  Owner.join();
+
+  // The joined lookup wakes with an error instead of blocking forever.
+  ASSERT_EQ(Joiner.wait_for(std::chrono::seconds(10)),
+            std::future_status::ready)
+      << "a lookup joined to a throwing compile never woke";
+  ProgramCache::Outcome Woken = Joiner.get();
+  EXPECT_EQ(Woken.Prog, nullptr);
+  EXPECT_TRUE(Woken.Waited);
+  EXPECT_FALSE(Woken.Error.empty());
+  EXPECT_EQ(C->size(), 0u) << "an exception is not a verdict";
+
+  // The next lookup compiles afresh.
+  std::future<ProgramCache::Outcome> Next = lookupDetached(C, 5);
+  ASSERT_EQ(Next.wait_for(std::chrono::seconds(10)),
+            std::future_status::ready)
+      << "the key stayed wedged after a throwing compile";
+  ProgramCache::Outcome Fresh = Next.get();
+  ASSERT_NE(Fresh.Prog, nullptr);
+  EXPECT_FALSE(Fresh.Hit);
 }
 
 TEST(ProgramCache, LruEvictsOldestCompleted) {
@@ -286,12 +363,10 @@ TEST(ProgramCache, RespecializationCostChangeNeverLeaksBytes) {
       "  ENDDO\n"
       "END\n");
   ASSERT_TRUE(Big.ok()) << Big.Diags.renderAll();
-  ProgramCache::Compiler BigCompiler = [&Big](int &Attempts) {
-    ++Attempts;
+  ProgramCache::Compiler BigCompiler = [&Big] {
     auto C = transform::compileForSimdExec(*Big.Prog);
     EXPECT_TRUE(static_cast<bool>(C));
-    return Expected<transform::CompiledSimdProgram, CompileFailure>(
-        std::move(*C));
+    return C;
   };
   const size_t SmallCost = programCostBytes(compiledFixture());
   size_t BigCost = 0;

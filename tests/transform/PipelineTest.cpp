@@ -124,6 +124,21 @@ TEST(Pipeline, CrossingGotoLoopsAreAStructuredError) {
   EXPECT_NE(R.error().Issues[1].find("label 2 "), std::string::npos);
 }
 
+TEST(Pipeline, CanonicalKeySeparatesRealsPastSixDigits) {
+  // Two literals that agree in their first six significant digits are
+  // two programs, and must be two cache keys.
+  auto KeyOf = [](double V) {
+    Program P("LIT");
+    P.addVar("x", ScalarKind::Real);
+    Builder B(P);
+    P.body().push_back(B.assign(B.var("x"), B.lit(V)));
+    return canonicalKey(P);
+  };
+  CanonicalKey A = KeyOf(1234567.4), B = KeyOf(1234569.9);
+  EXPECT_NE(A.Text, B.Text);
+  EXPECT_NE(A.Hash, B.Hash);
+}
+
 TEST(Pipeline, StageOutcomesAreRecorded) {
   Program Ex = makeExample(paperExampleSpec());
   PipelineOptions PO;

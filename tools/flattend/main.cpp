@@ -7,8 +7,8 @@
 /// flattend: the compile-once/run-many face of the simdflat pipeline.
 /// Reads one JSON request per line from stdin (docs/SERVING.md), pushes
 /// each through the serve::Server (bounded weighted-fair admission
-/// queue, per-tenant quotas, compiled-program cache, circuit breaker,
-/// per-request budgets), and writes one JSON reply per line to stdout in
+/// queue, per-tenant quotas, compiled-program cache, unflattened
+/// fallback, per-request budgets), and writes one JSON reply per line to stdout in
 /// submission order. At end of input it prints a summary line with the
 /// server counters and self-checks the accounting invariant served +
 /// trapped + shed + compile-errors == submitted, globally and per
@@ -26,7 +26,7 @@
 ///   flattend < requests.jsonl
 ///   flattend --workers=4 --queue-capacity=8 --max-fuel=1000000
 ///            --telemetry=serve.log < requests.jsonl   (one line)
-///   flattend --fault-compile-failures=2 --fault-evict-mid-flight
+///   flattend --fault-fail-primary --fault-evict-mid-flight
 ///            < requests.jsonl   (fault drill: must still add up)
 ///   flattend --health --engine=native
 ///
@@ -111,14 +111,9 @@ void usage() {
       "                           bounded only by --queue-capacity)\n"
       "  --tenant-fuel-rate=N     fuel tokens per second per tenant\n"
       "                           (default 0: unmetered)\n"
-      "  --compile-retries=N      retries after a failed compile "
-      "(default 2)\n"
       "  --retry-after-ms=N       base retry hint on shed replies\n"
       "                           (default 5; scaled by queue depth or\n"
       "                           quota refill time)\n"
-      "  --breaker-cooldown-micros=N\n"
-      "                           re-probe an open breaker after N us\n"
-      "                           (default 0: count-driven only)\n"
       "  --drain-deadline-ms=N    hard bound on the SIGINT/SIGTERM\n"
       "                           graceful drain (default 5000)\n"
       "  --adaptive               profile-guided strategy selection:\n"
@@ -149,9 +144,8 @@ void usage() {
       "  --health                 self-check (compile + run a probe\n"
       "                           program), print one status line, exit\n"
       "                           0 healthy / 1 unhealthy\n"
-      "  --fault-compile-failures=N\n"
-      "                           fault drill: fail the first N compile\n"
-      "                           attempts of every primary pipeline\n"
+      "  --fault-fail-primary     fault drill: every primary pipeline\n"
+      "                           fails, so requests serve the fallback\n"
       "  --fault-evict-mid-flight fault drill: evict each program while\n"
       "                           its request still runs\n"
       "  --fault-worker-stall-micros=N\n"
@@ -225,12 +219,8 @@ bool parseArgs(int Argc, char **Argv, CliOptions &Opts) {
        [](CliOptions &O, int64_t N) {
          O.Server.DefaultQuota.FuelPerSec = (double)N;
        }},
-      {"--compile-retries", 0,
-       [](CliOptions &O, int64_t N) { O.Server.CompileRetries = (int)N; }},
       {"--retry-after-ms", 0,
        [](CliOptions &O, int64_t N) { O.Server.RetryAfterMs = N; }},
-      {"--breaker-cooldown-micros", 0,
-       [](CliOptions &O, int64_t N) { O.Server.Breaker.CooldownMicros = N; }},
       {"--drain-deadline-ms", 0,
        [](CliOptions &O, int64_t N) { O.DrainDeadlineMs = N; }},
       {"--adaptive-min-samples", 1,
@@ -243,10 +233,6 @@ bool parseArgs(int Argc, char **Argv, CliOptions &Opts) {
        }},
       {"--adaptive-window", 0,
        [](CliOptions &O, int64_t N) { O.Server.AdaptiveWindow = N; }},
-      {"--fault-compile-failures", 0,
-       [](CliOptions &O, int64_t N) {
-         O.Server.Faults.CompileFailures = (int)N;
-       }},
       {"--fault-worker-stall-micros", 0,
        [](CliOptions &O, int64_t N) {
          O.Server.Faults.WorkerStallMicros = N;
@@ -274,7 +260,9 @@ bool parseArgs(int Argc, char **Argv, CliOptions &Opts) {
     }
     if (Handled)
       continue;
-    if (A == "--fault-evict-mid-flight") {
+    if (A == "--fault-fail-primary") {
+      Opts.Server.Faults.FailPrimary = true;
+    } else if (A == "--fault-evict-mid-flight") {
       Opts.Server.Faults.EvictMidFlight = true;
     } else if (A == "--adaptive") {
       Opts.Server.Adaptive = true;

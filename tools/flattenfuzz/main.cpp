@@ -226,8 +226,8 @@ int runReplay(const CliOptions &Opts) {
 int runServe(const CliOptions &Opts) {
   ServeCampaignOptions SO;
   SO.BaseSeed = Opts.Seed;
-  // --count sizes the mixed-traffic phase; the saturation, breaker and
-  // eviction phases are fixed-shape.
+  // --count sizes the mixed-traffic phase; the saturation,
+  // poisoned-primary and eviction phases are fixed-shape.
   SO.Count = static_cast<int>(std::min<int64_t>(Opts.Count, 10'000));
   ServeCampaignResult SR = runServeCampaign(SO);
   for (const std::string &F : SR.Failures)
