@@ -182,7 +182,7 @@ int main(int argc, char **argv) {
   const Arm Statics[] = {
       {"unflattened", transform::StrategyPolicy::unflattened()},
       {"flattened", transform::StrategyPolicy::flattened()},
-      {"coalesced", transform::StrategyPolicy::coalesced(64, 4096)},
+      {"coalesced", transform::StrategyPolicy::coalesced()},
   };
 
   std::printf("%-12s %12s %12s %12s %12s  adaptive/best\n", "scenario",

@@ -229,16 +229,6 @@ struct RunStats {
                : static_cast<double>(WorkActiveLanes) /
                      static_cast<double>(WorkTotalLanes);
   }
-
-  /// Lane accounting sanity: active lane slots can never exceed total
-  /// lane slots (padded tail lanes count toward the total but are idle,
-  /// never active), and neither count may be negative. A record that
-  /// violates this would report a >100% utilization downstream;
-  /// StatsJson refuses to deserialize one.
-  bool laneAccountingConsistent() const {
-    return WorkActiveLanes >= 0 && WorkTotalLanes >= 0 &&
-           WorkActiveLanes <= WorkTotalLanes;
-  }
 };
 
 /// A recorded execution trace: one entry per work step with the values of

@@ -1,13 +1,12 @@
-//===- interp/StatsJson.h - RunStats/Trace <-> JSON ------------*- C++ -*-===//
+//===- interp/StatsJson.h - RunStats -> JSON -------------------*- C++ -*-===//
 //
 // Part of simdflat. MIT license.
 //
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// JSON serialization of the interpreter counters and traces so benches
-/// and flattenc can emit machine-readable telemetry, and deserialization
-/// so tools (and the round-trip tests) can read it back.
+/// JSON serialization of the interpreter counters, the `run_stats`
+/// block of `flattenc --stats-json`.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -20,22 +19,12 @@
 namespace simdflat {
 namespace interp {
 
-/// RunStats as a flat JSON object (counters plus the derived
-/// utilization, so consumers need not recompute it).
-json::Value toJson(const RunStats &S);
-
-/// Same, tagged with the engine that produced the counters (an
-/// "engine" member holding engineName(E)). Use this at every
-/// serialization site so downstream tools can refuse cross-engine
-/// comparisons; runStatsFromJson tolerates and ignores the tag.
+/// RunStats as a flat JSON object: the counters plus the derived
+/// utilization (so consumers need not recompute it), the versioned
+/// trip_histogram block when the run recorded trips, and an "engine"
+/// member holding engineName(E), so downstream tools can refuse
+/// cross-engine comparisons.
 json::Value toJson(const RunStats &S, Engine E);
-
-/// Inverse of toJson(RunStats); missing fields keep their defaults,
-/// wrongly-typed fields fail.
-Expected<RunStats, json::JsonError> runStatsFromJson(const json::Value &V);
-
-/// Trace as {watch, lanes, steps: [{values, active}]}.
-json::Value toJson(const Trace &T);
 
 } // namespace interp
 } // namespace simdflat

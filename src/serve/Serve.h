@@ -161,8 +161,9 @@ struct Request {
   bool WantArrays = false;
 };
 
-/// Per-request accounting record, engine-tagged; serialized by
-/// telemetryJson for the service log.
+/// Per-request accounting record, engine-tagged. ServeJson writes its
+/// fields once for both the reply's "telemetry" object and the service
+/// log record (telemetryJson).
 struct Telemetry {
   /// Time from submission to a worker picking the request up.
   int64_t QueueNanos = 0;

@@ -2,8 +2,6 @@
 
 #include "serve/ServeJson.h"
 
-#include <sstream>
-
 using namespace simdflat;
 using namespace simdflat::serve;
 
@@ -149,6 +147,27 @@ Expected<Request, std::string> serve::parseRequest(const json::Value &V) {
   return R;
 }
 
+namespace {
+
+/// The per-request accounting fields, written once for both the reply's
+/// "telemetry" object and the telemetry log record.
+void setTelemetry(json::Value &O, const Telemetry &T) {
+  O.set("engine", T.Engine);
+  O.set("tenant", T.Tenant);
+  O.set("queue_nanos", T.QueueNanos);
+  O.set("compile_nanos", T.CompileNanos);
+  O.set("run_nanos", T.RunNanos);
+  O.set("cache_hit", T.CacheHit);
+  O.set("coalesced_compile", T.CoalescedCompile);
+  O.set("fallback", T.Fallback);
+  O.set("fuel_spent", T.FuelSpent);
+  O.set("cycles_spent", T.CyclesSpent);
+  O.set("strategy", T.Strategy);
+  O.set("strategy_epoch", T.StrategyEpoch);
+}
+
+} // namespace
+
 json::Value serve::toJson(const Reply &R) {
   json::Value O = json::Value::object();
   O.set("id", (int64_t)R.Id);
@@ -180,20 +199,7 @@ json::Value serve::toJson(const Reply &R) {
     }
     O.set("int_arrays", std::move(Arrays));
   }
-  json::Value Tele = json::Value::object();
-  Tele.set("engine", R.Tele.Engine);
-  Tele.set("tenant", R.Tele.Tenant);
-  Tele.set("queue_nanos", R.Tele.QueueNanos);
-  Tele.set("compile_nanos", R.Tele.CompileNanos);
-  Tele.set("run_nanos", R.Tele.RunNanos);
-  Tele.set("cache_hit", R.Tele.CacheHit);
-  Tele.set("coalesced_compile", R.Tele.CoalescedCompile);
-  Tele.set("fallback", R.Tele.Fallback);
-  Tele.set("fuel_spent", R.Tele.FuelSpent);
-  Tele.set("cycles_spent", R.Tele.CyclesSpent);
-  Tele.set("strategy", R.Tele.Strategy);
-  Tele.set("strategy_epoch", R.Tele.StrategyEpoch);
-  O.set("telemetry", std::move(Tele));
+  setTelemetry(O.set("telemetry", json::Value::object()), R.Tele);
   return O;
 }
 
@@ -202,18 +208,7 @@ json::Value serve::telemetryJson(const Reply &R) {
   O.set("schema", "simdflat-serve-v1");
   O.set("id", (int64_t)R.Id);
   O.set("outcome", outcomeName(R.Out));
-  O.set("engine", R.Tele.Engine);
-  O.set("tenant", R.Tele.Tenant);
-  O.set("queue_nanos", R.Tele.QueueNanos);
-  O.set("compile_nanos", R.Tele.CompileNanos);
-  O.set("run_nanos", R.Tele.RunNanos);
-  O.set("cache_hit", R.Tele.CacheHit);
-  O.set("coalesced_compile", R.Tele.CoalescedCompile);
-  O.set("fallback", R.Tele.Fallback);
-  O.set("fuel_spent", R.Tele.FuelSpent);
-  O.set("cycles_spent", R.Tele.CyclesSpent);
-  O.set("strategy", R.Tele.Strategy);
-  O.set("strategy_epoch", R.Tele.StrategyEpoch);
+  setTelemetry(O, R.Tele);
   if (R.T)
     O.set("trap_kind", interp::trapKindName(R.T->Kind));
   if (!R.Error.empty())
@@ -221,53 +216,7 @@ json::Value serve::telemetryJson(const Reply &R) {
   return O;
 }
 
-std::string serve::toLine(const json::Value &V) {
-  std::ostringstream OS;
-  switch (V.kind()) {
-  case json::Value::Kind::Null:
-    OS << "null";
-    break;
-  case json::Value::Kind::Bool:
-    OS << (V.asBool() ? "true" : "false");
-    break;
-  case json::Value::Kind::Int:
-    OS << V.asInt();
-    break;
-  case json::Value::Kind::Double: {
-    // Round-trippable and line-safe (no locale surprises).
-    char Buf[64];
-    std::snprintf(Buf, sizeof(Buf), "%.17g", V.asDouble());
-    OS << Buf;
-    break;
-  }
-  case json::Value::Kind::String:
-    OS << '"' << json::escapeString(V.asString()) << '"';
-    break;
-  case json::Value::Kind::Array: {
-    OS << '[';
-    for (size_t I = 0; I < V.size(); ++I) {
-      if (I)
-        OS << ',';
-      OS << toLine(V.at(I));
-    }
-    OS << ']';
-    break;
-  }
-  case json::Value::Kind::Object: {
-    OS << '{';
-    bool First = true;
-    for (const auto &[Key, Member] : V.members()) {
-      if (!First)
-        OS << ',';
-      First = false;
-      OS << '"' << json::escapeString(Key) << "\":" << toLine(Member);
-    }
-    OS << '}';
-    break;
-  }
-  }
-  return OS.str();
-}
+std::string serve::toLine(const json::Value &V) { return V.dumpLine(); }
 
 json::Value serve::toJson(const ServerStats &S) {
   json::Value O = json::Value::object();

@@ -43,16 +43,17 @@ Expected<Reply, std::string> parseReply(const json::Value &V);
 /// The reply object sent back over the wire.
 json::Value toJson(const Reply &R);
 
-/// The per-request accounting record for the telemetry log: outcome,
-/// engine tag, timings, cache/fallback flags.
+/// The per-request accounting record for the telemetry log: the
+/// reply's "telemetry" fields (written by the same code) plus the
+/// header fields schema, id and outcome, and trap_kind and error when
+/// the reply has them.
 json::Value telemetryJson(const Reply &R);
 
 /// The counters object of the summary line.
 json::Value toJson(const ServerStats &S);
 
-/// Compact single-line serialization (no indentation, no trailing
-/// newline) - the JSON-lines framing flattend and its telemetry log
-/// use. Parseable by json::Value::parse.
+/// Same as V.dumpLine(); kept because perfbench/harness/Serve.cpp
+/// renders its replies through it.
 std::string toLine(const json::Value &V);
 
 } // namespace serve

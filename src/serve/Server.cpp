@@ -425,14 +425,13 @@ void Server::recordObservedTrips(
     if (!Decide)
       return;
     analysis::StrategyCosts Costs;
-    Costs.CoalesceMaxOuter = Opts.AdaptiveCoalesceMaxOuter;
-    Costs.CoalesceMaxTotal = Opts.AdaptiveCoalesceMaxTotal;
+    Costs.CoalesceMaxOuter = transform::DefaultCoalesceMaxOuter;
+    Costs.CoalesceMaxTotal = transform::DefaultCoalesceMaxTotal;
     analysis::TripDistribution Dist(Dom->Hist);
     analysis::StrategyChoice C = analysis::chooseStrategy(
         Dist, std::max<int64_t>(Lanes, 1), Opts.Layout, Costs);
     Changed = S.Policy.has_value() && C.Primary != S.Policy->Chosen;
-    S.Policy = transform::StrategyPolicy::fromChoice(
-        C, Opts.AdaptiveCoalesceMaxOuter, Opts.AdaptiveCoalesceMaxTotal);
+    S.Policy = transform::StrategyPolicy::fromChoice(C);
     S.Snapshot = Dom->Hist;
     S.Window.clear();
     S.Ring.clear();

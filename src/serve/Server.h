@@ -144,11 +144,6 @@ struct ServerOptions {
   /// drift detection, until the server restarts. Irrelevant while the
   /// decided strategy is Unflattened (every serve is then a probe).
   int64_t AdaptiveProbeEvery = 8;
-  /// Static bounds handed to the coalescing transform when the
-  /// adaptive layer selects Strategy::Coalesced (see
-  /// transform::StrategyPolicy).
-  int64_t AdaptiveCoalesceMaxOuter = 64;
-  int64_t AdaptiveCoalesceMaxTotal = 4096;
   FaultPlan Faults;
 };
 

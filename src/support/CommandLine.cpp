@@ -19,10 +19,11 @@ bool simdflat::parseInt(const std::string &S, int64_t &Out) {
   return true;
 }
 
-bool simdflat::optionValue(const std::string &A, std::string &Out) {
-  size_t Eq = A.find('=');
-  if (Eq == std::string::npos)
+bool simdflat::flagValue(const std::string &A, std::string_view Name,
+                         std::string &Out) {
+  if (A.size() <= Name.size() || A.compare(0, Name.size(), Name) != 0 ||
+      A[Name.size()] != '=')
     return false;
-  Out = A.substr(Eq + 1);
+  Out = A.substr(Name.size() + 1);
   return true;
 }

@@ -6,8 +6,8 @@
 ///
 /// \file
 /// The value parsers the command-line tools share: a strict integer
-/// parse and the value of a `--opt=value` argument. A typo must be a
-/// usage error, never a silently truncated number.
+/// parse and an exact `--name=value` flag matcher. A typo must be a
+/// usage error, never a silently truncated number or a misread flag.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -16,6 +16,7 @@
 
 #include <cstdint>
 #include <string>
+#include <string_view>
 
 namespace simdflat {
 
@@ -24,9 +25,13 @@ namespace simdflat {
 /// success.
 bool parseInt(const std::string &S, int64_t &Out);
 
-/// Value of a `--opt=value` argument; fails (rather than returning the
-/// whole argument) when the '=' is missing.
-bool optionValue(const std::string &A, std::string &Out);
+/// Matches the value flag \p Name exactly: true when \p A is
+/// `Name=value`, with \p Out set to everything after that '='. A longer
+/// name sharing the prefix (`--lanesX=3` for "--lanes") or the bare
+/// name does not match, so it reaches the caller's unknown-option
+/// error. \p Out is set only on a match.
+bool flagValue(const std::string &A, std::string_view Name,
+               std::string &Out);
 
 } // namespace simdflat
 

@@ -9,6 +9,7 @@
 #include "support/Format.h"
 
 #include <cassert>
+#include <charconv>
 #include <cmath>
 #include <cstdio>
 #include <fstream>
@@ -83,9 +84,10 @@ const std::vector<std::pair<std::string, Value>> &Value::members() const {
   return K == Kind::Object ? ObjectV : Empty;
 }
 
-std::string json::escapeString(std::string_view S) {
-  std::string Out;
-  Out.reserve(S.size());
+namespace {
+
+/// Appends \p S to \p Out as the body of a JSON string literal.
+void appendEscaped(std::string &Out, std::string_view S) {
   for (char C : S) {
     switch (C) {
     case '"':
@@ -111,60 +113,93 @@ std::string json::escapeString(std::string_view S) {
         Out += C;
     }
   }
+}
+
+void appendQuoted(std::string &Out, std::string_view S) {
+  Out += '"';
+  appendEscaped(Out, S);
+  Out += '"';
+}
+
+/// Line break plus 2-space indentation at \p Depth; nothing in the
+/// one-line form (negative depth).
+void appendBreak(std::string &Out, int Depth) {
+  if (Depth >= 0) {
+    Out += '\n';
+    Out.append(static_cast<size_t>(Depth) * 2, ' ');
+  }
+}
+
+} // namespace
+
+std::string json::escapeString(std::string_view S) {
+  std::string Out;
+  Out.reserve(S.size());
+  appendEscaped(Out, S);
   return Out;
 }
 
-std::string Value::dump(int Indent) const {
-  std::string Pad(static_cast<size_t>(Indent) * 2, ' ');
-  std::string PadIn(static_cast<size_t>(Indent + 1) * 2, ' ');
+void Value::write(std::string &Out, int Indent) const {
   switch (K) {
   case Kind::Null:
-    return "null";
+    Out += "null";
+    return;
   case Kind::Bool:
-    return BoolV ? "true" : "false";
-  case Kind::Int:
-    return formatf("%lld", static_cast<long long>(IntV));
+    Out += BoolV ? "true" : "false";
+    return;
+  case Kind::Int: {
+    char Buf[24];
+    Out.append(Buf, std::to_chars(Buf, Buf + sizeof(Buf), IntV).ptr);
+    return;
+  }
   case Kind::Double:
     // JSON has no NaN or infinity; benches never emit one on purpose.
     if (std::isnan(DoubleV))
-      return "null";
-    if (std::isinf(DoubleV))
-      return DoubleV > 0 ? "1e308" : "-1e308";
-    return formatDouble(DoubleV);
-  case Kind::String: {
-    // Built via append to dodge a GCC 12 -O2 -Wrestrict false positive
-    // (PR105651) on const char* + std::string&&.
-    std::string Out = "\"";
-    Out += escapeString(StringV);
-    Out += '"';
-    return Out;
-  }
-  case Kind::Array: {
-    if (ArrayV.empty())
-      return "[]";
-    std::string Out = "[\n";
-    for (size_t I = 0; I < ArrayV.size(); ++I) {
-      Out += PadIn + ArrayV[I].dump(Indent + 1);
-      Out += I + 1 < ArrayV.size() ? ",\n" : "\n";
-    }
-    return Out + Pad + "]";
-  }
+      Out += "null";
+    else if (std::isinf(DoubleV))
+      Out += DoubleV > 0 ? "1e308" : "-1e308";
+    else
+      Out += formatDouble(DoubleV);
+    return;
+  case Kind::String:
+    appendQuoted(Out, StringV);
+    return;
+  case Kind::Array:
   case Kind::Object: {
-    if (ObjectV.empty())
-      return "{}";
-    std::string Out = "{\n";
-    for (size_t I = 0; I < ObjectV.size(); ++I) {
-      Out += PadIn;
-      Out += '"';
-      Out += escapeString(ObjectV[I].first);
-      Out += "\": ";
-      Out += ObjectV[I].second.dump(Indent + 1);
-      Out += I + 1 < ObjectV.size() ? ",\n" : "\n";
+    bool IsArray = K == Kind::Array;
+    size_t N = IsArray ? ArrayV.size() : ObjectV.size();
+    int Inner = Indent < 0 ? Indent : Indent + 1;
+    Out += IsArray ? '[' : '{';
+    for (size_t I = 0; I < N; ++I) {
+      if (I > 0)
+        Out += ',';
+      appendBreak(Out, Inner);
+      if (IsArray) {
+        ArrayV[I].write(Out, Inner);
+        continue;
+      }
+      appendQuoted(Out, ObjectV[I].first);
+      Out += Indent < 0 ? ":" : ": ";
+      ObjectV[I].second.write(Out, Inner);
     }
-    return Out + Pad + "}";
+    if (N > 0)
+      appendBreak(Out, Indent);
+    Out += IsArray ? ']' : '}';
+    return;
   }
   }
-  return "null"; // unreachable
+}
+
+std::string Value::dump(int Indent) const {
+  std::string Out;
+  write(Out, Indent);
+  return Out;
+}
+
+std::string Value::dumpLine() const {
+  std::string Out;
+  write(Out, -1);
+  return Out;
 }
 
 namespace {

@@ -7,10 +7,12 @@
 /// \file
 /// A small JSON layer for the telemetry pipeline: benches serialize
 /// their metrics to `BENCH_<name>.json`, flattenc dumps RunStats and
-/// pipeline reports, and tools/perf_compare reads the files back to
-/// gate regressions. Deliberately tiny - insertion-ordered objects,
-/// int64/double distinction preserved, strict parsing - and free of
-/// third-party dependencies.
+/// pipeline reports, flattend writes its replies and telemetry log as
+/// JSON lines, and tools/perf_compare reads the files back to gate
+/// regressions. Deliberately tiny - insertion-ordered objects,
+/// int64/double distinction preserved, strict parsing, one writer for
+/// both the indented and the one-line form - and free of third-party
+/// dependencies.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -95,14 +97,23 @@ public:
   const std::vector<std::pair<std::string, Value>> &members() const;
   /// @}
 
-  /// Serializes with 2-space indentation and a trailing newline at the
-  /// top level (\p Indent is the current depth; callers use 0).
+  /// Serializes with 2-space indentation, no trailing newline (\p Indent
+  /// is the starting depth; callers use 0). The file form.
   std::string dump(int Indent = 0) const;
+  /// Serializes on one line with no whitespace between tokens: the
+  /// JSON-lines form flattend writes. Numbers and strings are spelled
+  /// exactly as dump() spells them.
+  std::string dumpLine() const;
 
   /// Strict parse of a complete JSON document (trailing junk rejected).
   static Expected<Value, JsonError> parse(std::string_view Text);
 
 private:
+  /// The one writer behind dump() and dumpLine(): appends this value to
+  /// \p Out, indented at depth \p Indent, or on one line when \p Indent
+  /// is negative.
+  void write(std::string &Out, int Indent) const;
+
   Kind K;
   bool BoolV = false;
   int64_t IntV = 0;

@@ -187,7 +187,6 @@ transform::compileForSimd(const ir::Program &P, PipelineOptions Opts,
     FlattenOptions FOpts;
     FOpts.Force = Opts.ForceLevel;
     FOpts.AssumeInnerMinOneTrip = MinOneSurvives;
-    FOpts.CheckSafety = Opts.CheckSafety;
     FOpts.DistributeOuter = Opts.Layout;
     // Keep the pre-flatten tree: a flatten that damages the program is
     // reverted and the pipeline falls back to the unflattened Fig. 5
@@ -226,7 +225,12 @@ transform::compileForSimd(const ir::Program &P, PipelineOptions Opts,
 
   SimdizeOptions SOpts;
   SOpts.DoAllLayout = Opts.Layout;
-  ir::Program Out = simdize(Work, SOpts);
+  std::vector<std::string> Unsupported;
+  ir::Program Out = simdize(Work, SOpts, &Unsupported);
+  // A loop shape with no SIMD form is the input's error, like GOTOs
+  // recovery could not structure.
+  if (!Unsupported.empty())
+    return PipelineError{"simdize", std::move(Unsupported)};
   {
     std::vector<std::string> Issues;
     if (!checkStage("simdize", Out, "F77 -> F90simd", &Issues))
@@ -274,8 +278,6 @@ CanonicalKey transform::canonicalKey(const ir::Program &P,
   K.Text += Opts.ForceLevel ? flattenLevelName(*Opts.ForceLevel) : "auto";
   K.Text += "|min-one=";
   K.Text += Opts.AssumeInnerMinOneTrip ? "1" : "0";
-  K.Text += "|safety=";
-  K.Text += Opts.CheckSafety ? "1" : "0";
   K.Text += "|explicit-normalize=";
   K.Text += Opts.ExplicitNormalize ? "1" : "0";
   K.Text += "|strategy=";

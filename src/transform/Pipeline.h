@@ -18,7 +18,9 @@
 /// a structured PipelineError naming the stage and the verifier issues.
 /// It never returns an unverified program. Labels and GOTOs that GOTO
 /// recovery cannot structure (crossing loops, forward jumps) are an
-/// input error of stage "goto-recovery" naming each surviving label.
+/// input error of stage "goto-recovery" naming each surviving label;
+/// loops with no SIMD form (see transform::simdize) are an input error
+/// of stage "simdize" naming each loop variable.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -39,6 +41,13 @@ struct Program;
 
 namespace transform {
 
+/// Coalesce inspector bounds for builds chosen from a cost-model verdict
+/// (flattenc --strategy/--adaptive, the adaptive server): the static
+/// dimensions the inspector arrays get, and the limits past which the
+/// model rules coalescing out (analysis::StrategyCosts).
+constexpr int64_t DefaultCoalesceMaxOuter = 64;
+constexpr int64_t DefaultCoalesceMaxTotal = 4096;
+
 /// The strategy-selection seam: which loop-nest build the pipeline
 /// produces. Historically the pipeline had one global order (flatten
 /// then simdize, with the Flatten flag as the only knob); a policy
@@ -57,8 +66,8 @@ struct StrategyPolicy {
   /// Static dimensions of the coalesce inspector arrays (Coalesced
   /// only). Runtime totals beyond them trap OutOfBounds, so pick them
   /// from the observed distribution with margin.
-  int64_t CoalesceMaxOuter = 64;
-  int64_t CoalesceMaxTotal = 4096;
+  int64_t CoalesceMaxOuter = DefaultCoalesceMaxOuter;
+  int64_t CoalesceMaxTotal = DefaultCoalesceMaxTotal;
 
   static StrategyPolicy unflattened() {
     return {analysis::Strategy::Unflattened, 0, 0};
@@ -66,14 +75,15 @@ struct StrategyPolicy {
   static StrategyPolicy flattened() {
     return {analysis::Strategy::Flattened, 0, 0};
   }
-  static StrategyPolicy coalesced(int64_t MaxOuter, int64_t MaxTotal) {
+  static StrategyPolicy
+  coalesced(int64_t MaxOuter = DefaultCoalesceMaxOuter,
+            int64_t MaxTotal = DefaultCoalesceMaxTotal) {
     return {analysis::Strategy::Coalesced, MaxOuter, MaxTotal};
   }
-  /// Adopts a ranked model verdict (bounds only matter for Coalesced).
-  static StrategyPolicy fromChoice(const analysis::StrategyChoice &C,
-                                   int64_t MaxOuter = 64,
-                                   int64_t MaxTotal = 4096) {
-    return {C.Primary, MaxOuter, MaxTotal};
+  /// Adopts a ranked model verdict under the default coalesce bounds
+  /// (they only matter for Coalesced).
+  static StrategyPolicy fromChoice(const analysis::StrategyChoice &C) {
+    return {C.Primary, DefaultCoalesceMaxOuter, DefaultCoalesceMaxTotal};
   }
 };
 
@@ -86,7 +96,6 @@ struct PipelineOptions {
   /// Forwarded to flattenNest.
   std::optional<FlattenLevel> ForceLevel;
   bool AssumeInnerMinOneTrip = false;
-  bool CheckSafety = true;
   /// Run the explicit Fig. 8/9 normalize + guard-introduction rewrites
   /// before flattening. Off by default: the flattener extracts the same
   /// normal form non-destructively through analysis::normalFormOf, so
@@ -133,7 +142,8 @@ struct PipelineReport {
 
 /// Structured failure of the pipeline: the stage that produced an
 /// invalid tree (and could not be reverted), with the verifier issues,
-/// or the "goto-recovery" stage with one issue per surviving label.
+/// the "goto-recovery" stage with one issue per surviving label, or the
+/// "simdize" stage with one issue per loop that has no SIMD form.
 struct PipelineError {
   std::string Stage;
   std::vector<std::string> Issues;

@@ -20,6 +20,9 @@ public:
   Simdizer(Program &P, const SimdizeOptions &Opts) : P(P), B(P),
                                                      Opts(Opts) {}
 
+  /// Loop shapes the SIMD machine cannot execute, one issue each.
+  std::vector<std::string> Unsupported;
+
   void run() {
     computeVariance();
     Body NewBody = convertBody(P.body(), /*Ctx=*/false);
@@ -201,11 +204,11 @@ private:
         return;
       }
       if (varies(D->lo()))
-        reportFatalError("simdize: lane-varying DO lower bound for '" +
-                         D->indexVar() + "' is not supported");
+        Unsupported.push_back("lane-varying DO lower bound for '" +
+                              D->indexVar() + "' is not supported");
       if (D->step() && varies(*D->step()))
-        reportFatalError("simdize: lane-varying DO step for '" +
-                         D->indexVar() + "' is not supported");
+        Unsupported.push_back("lane-varying DO step for '" +
+                              D->indexVar() + "' is not supported");
       Body NewBody = convertBody(D->body(), Ctx || varies(D->hi()));
       if (varies(D->hi())) {
         // DO j = lo, <reduction over lanes>; guard the body (Fig. 5).
@@ -213,11 +216,13 @@ private:
         // ones (negative literal step) the MIN bound with a >= guard.
         bool Descending = false;
         if (D->step()) {
-          const auto *Lit = dyn_cast<IntLit>(D->step());
-          if (!Lit)
-            reportFatalError("simdize: lane-varying DO bound with a "
-                             "non-literal step is not supported");
-          Descending = Lit->value() < 0;
+          if (const auto *Lit = dyn_cast<IntLit>(D->step()))
+            Descending = Lit->value() < 0;
+          else
+            Unsupported.push_back("lane-varying DO bound for '" +
+                                  D->indexVar() +
+                                  "' with a non-literal step is not "
+                                  "supported");
         }
         ExprPtr Guard =
             Descending ? B.ge(B.var(D->indexVar()), cloneExpr(D->hi()))
@@ -288,7 +293,8 @@ private:
     if (D.step()) {
       const auto *Lit = dyn_cast<IntLit>(D.step());
       if (!Lit || Lit->value() != 1)
-        reportFatalError("simdize: DOALL must have unit step");
+        Unsupported.push_back("DOALL '" + D.indexVar() +
+                              "' must have unit step");
     }
     const std::string &IV = D.indexVar();
     // blocks = ceil((hi - lo + 1) / NUMLANES())
@@ -341,12 +347,17 @@ private:
 
 } // namespace
 
-ir::Program transform::simdize(const Program &P, SimdizeOptions Opts) {
+ir::Program transform::simdize(const Program &P, SimdizeOptions Opts,
+                               std::vector<std::string> *Unsupported) {
   if (P.dialect() == Dialect::F90Simd)
     reportFatalError("simdize: program '" + P.name() +
                      "' is already in the F90simd dialect");
   Program Out = cloneProgram(P);
   Simdizer S(Out, Opts);
   S.run();
+  if (!S.Unsupported.empty() && !Unsupported)
+    reportFatalError("simdize: " + S.Unsupported.front());
+  if (Unsupported)
+    *Unsupported = std::move(S.Unsupported);
   return Out;
 }

@@ -37,6 +37,9 @@
 #include "ir/Program.h"
 #include "machine/Machine.h"
 
+#include <string>
+#include <vector>
+
 namespace simdflat {
 namespace transform {
 
@@ -50,7 +53,16 @@ struct SimdizeOptions {
 /// Converts \p P (dialect F77) into a new F90simd program. Aborts on
 /// unstructured control flow (run the front end's GOTO recovery first)
 /// or if \p P is already SIMDized.
-ir::Program simdize(const ir::Program &P, SimdizeOptions Opts = {});
+///
+/// Some loop shapes have no SIMD form: a DOALL whose step is not 1, and
+/// an inner DO with a lane-varying lower bound, a lane-varying step, or
+/// a lane-varying upper bound under a non-literal step. With
+/// \p Unsupported, each one is an issue naming its loop variable and
+/// the returned program must be discarded when any is reported (the
+/// pipeline turns them into a "simdize" PipelineError); without it, the
+/// first one aborts.
+ir::Program simdize(const ir::Program &P, SimdizeOptions Opts = {},
+                    std::vector<std::string> *Unsupported = nullptr);
 
 } // namespace transform
 } // namespace simdflat

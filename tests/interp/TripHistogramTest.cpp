@@ -1,8 +1,8 @@
 //===- tests/interp/TripHistogramTest.cpp ----------------------*- C++ -*-===//
 //
 // Unit tests for the compact per-nest trip histogram: exact small
-// counts, log2 bucketization of large trips, merge, and the
-// consistency invariant StatsJson enforces on deserialization.
+// counts, log2 bucketization of large trips, merge, and the bucket
+// consistency invariant.
 //
 //===----------------------------------------------------------------------===//
 

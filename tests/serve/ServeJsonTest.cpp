@@ -2,7 +2,8 @@
 //
 // The flattend wire format: strict request parsing (a hostile line is a
 // structured parse error, never a misread request), reply/telemetry
-// serialization, and the compact JSON-lines framing.
+// serialization (one telemetry record shared by the reply and the log),
+// and the one-line JSON-lines framing.
 //
 //===----------------------------------------------------------------------===//
 
@@ -205,11 +206,64 @@ TEST(ServeJson, StatsSerializationCarriesConsistency) {
   EXPECT_FALSE(toJson(S).get("consistent")->asBool());
 }
 
-TEST(ServeJson, ToLineIsCompactAndRoundTrips) {
+TEST(ServeJson, LogRecordIsTheReplyTelemetryPlusItsHeader) {
+  Reply Served = sampleReply();
+  Served.Tele.Tenant = "team-blue";
+  Served.Tele.CoalescedCompile = true;
+  Served.Tele.Strategy = "flattened";
+  Served.Tele.StrategyEpoch = 2;
+  Served.Tele.CyclesSpent = 1234.0;
+
+  Reply Trapped;
+  Trapped.Id = 4;
+  Trapped.Out = Outcome::Trapped;
+  interp::Trap T;
+  T.Kind = interp::TrapKind::OutOfBounds;
+  T.Lanes = {1};
+  T.Location = "DO i";
+  T.Detail = "lane 1 reads A(9)";
+  Trapped.T = T;
+  Trapped.Error = T.render();
+  Trapped.Tele.Engine = "native";
+  Trapped.Tele.Fallback = true;
+  Trapped.Tele.RunNanos = 77;
+
+  for (const Reply *R : {&Served, &Trapped}) {
+    json::Value Wire = toJson(*R);
+    json::Value Log = telemetryJson(*R);
+    const json::Value *Tele = Wire.get("telemetry");
+    ASSERT_NE(Tele, nullptr);
+    EXPECT_EQ(Tele->members().size(), 12u);
+    for (const auto &[Key, V] : Tele->members()) {
+      const json::Value *L = Log.get(Key);
+      ASSERT_NE(L, nullptr) << Key;
+      EXPECT_EQ(L->dumpLine(), V.dumpLine()) << Key;
+    }
+    // Whatever else the log record holds is its header.
+    for (const auto &[Key, V] : Log.members()) {
+      (void)V;
+      if (Tele->get(Key))
+        continue;
+      EXPECT_TRUE(Key == "schema" || Key == "id" || Key == "outcome" ||
+                  Key == "trap_kind" || Key == "error")
+          << Key;
+    }
+    EXPECT_EQ(Log.get("id")->asInt(), Wire.get("id")->asInt());
+    EXPECT_EQ(Log.get("outcome")->asString(),
+              Wire.get("outcome")->asString());
+  }
+  EXPECT_EQ(telemetryJson(Trapped).get("trap_kind")->asString(),
+            interp::trapKindName(interp::TrapKind::OutOfBounds));
+  EXPECT_EQ(telemetryJson(Trapped).get("error")->asString(), Trapped.Error);
+  EXPECT_EQ(telemetryJson(Served).get("trap_kind"), nullptr);
+}
+
+TEST(ServeJson, OneLineFormIsCompactAndRoundTrips) {
   json::Value Doc = toJson(sampleReply());
-  std::string Line = toLine(Doc);
+  std::string Line = Doc.dumpLine();
   EXPECT_EQ(Line.find('\n'), std::string::npos);
   EXPECT_EQ(Line.front(), '{');
+  EXPECT_EQ(toLine(Doc), Line) << "toLine only forwards";
   auto Back = json::Value::parse(Line);
   ASSERT_TRUE(static_cast<bool>(Back)) << Line;
   EXPECT_EQ(Back->dump(), Doc.dump());
@@ -375,10 +429,10 @@ TEST(ServeJson, ParseReplyRejectsHostileDocuments) {
   EXPECT_FALSE(static_cast<bool>(parseReply(parseDoc("[1]"))));
 }
 
-TEST(ServeJson, ToLineEscapesStrings) {
+TEST(ServeJson, OneLineFormEscapesStrings) {
   json::Value Doc = json::Value::object();
   Doc.set("s", std::string("a\"b\nc"));
-  std::string Line = toLine(Doc);
+  std::string Line = Doc.dumpLine();
   EXPECT_EQ(Line.find('\n'), std::string::npos)
       << "embedded newlines must be escaped for JSON-lines framing";
   auto Back = json::Value::parse(Line);

@@ -169,6 +169,57 @@ TEST(Server, SurvivingGotosAreACompileErrorAndServingContinues) {
   expectConsistent(S);
 }
 
+/// A DOALL/DO nest under the given loop headers; K, N and L are inputs.
+Request nestRequest(const std::string &DoAll, const std::string &Do) {
+  Request R;
+  R.Source = "PROGRAM NEST\nINTEGER K\nINTEGER N\n"
+             "DISTRIBUTED INTEGER L(8)\nDISTRIBUTED INTEGER X(8, 4)\n"
+             "INTEGER i\nINTEGER j\nBEGIN\n  " +
+             DoAll + "\n    " + Do +
+             "\n      X(i, j) = i\n    ENDDO\n  ENDDO\nEND\n";
+  R.Ints = {{"K", 8}, {"N", 1}};
+  R.IntArrays["L"] = {4, 1, 2, 1, 1, 3, 1, 3};
+  R.Fuel = 100'000;
+  return R;
+}
+
+TEST(Server, LoopsWithNoSimdFormAreCompileErrorsAndServingContinues) {
+  // Each of these used to abort inside simdize, taking the daemon and
+  // every request queued beside it down. A lane-varying lower bound has
+  // a SIMD form only once flattening removes the inner DO: the static
+  // server serves it, but an adaptive server's unflattened probe build
+  // cannot.
+  struct Case {
+    const char *DoAll, *Do, *Loop;
+    bool StaticServes;
+  };
+  const Case Cases[] = {{"DOALL i = 1, K, 2", "DO j = 1, 4", "'i'", false},
+                        {"DOALL i = 1, K", "DO j = 1, 4, L(i)", "'j'", false},
+                        {"DOALL i = 1, K", "DO j = 1, L(i), N", "'j'", false},
+                        {"DOALL i = 1, K", "DO j = L(i), 4", "'j'", true}};
+  for (bool Adaptive : {false, true}) {
+    ServerOptions SO;
+    SO.Workers = 1;
+    SO.Adaptive = Adaptive;
+    Server S(SO);
+    for (const Case &C : Cases) {
+      Reply Rep = getReply(S.submit(nestRequest(C.DoAll, C.Do)));
+      if (C.StaticServes && !Adaptive) {
+        EXPECT_EQ(Rep.Out, Outcome::Served) << C.Do << ": " << Rep.Error;
+        continue;
+      }
+      EXPECT_EQ(Rep.Out, Outcome::CompileError)
+          << (Adaptive ? "adaptive " : "static ") << C.DoAll << " / " << C.Do;
+      EXPECT_NE(Rep.Error.find("stage 'simdize'"), std::string::npos)
+          << Rep.Error;
+      EXPECT_NE(Rep.Error.find(C.Loop), std::string::npos) << Rep.Error;
+    }
+    Reply Good = getReply(S.submit(exampleRequest()));
+    EXPECT_EQ(Good.Out, Outcome::Served) << Good.Error;
+    expectConsistent(S);
+  }
+}
+
 /// frontend::MaxNestingDepth + \p Extra nested IF blocks around an
 /// assignment whose expression is as many unary minuses deep.
 std::string nestedSource(int Extra) {

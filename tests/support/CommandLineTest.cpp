@@ -39,15 +39,24 @@ TEST(CommandLine, ParseIntRejectsOutOfRange) {
   EXPECT_EQ(V, 5);
 }
 
-TEST(CommandLine, OptionValueNeedsEquals) {
+TEST(CommandLine, FlagValueMatchesTheExactName) {
   std::string V = "unset";
-  EXPECT_TRUE(optionValue("--lanes=4", V));
+  EXPECT_TRUE(flagValue("--lanes=4", "--lanes", V));
   EXPECT_EQ(V, "4");
-  EXPECT_TRUE(optionValue("--stats-json=", V));
+  EXPECT_TRUE(flagValue("--stats-json=", "--stats-json", V));
   EXPECT_EQ(V, "");
-  EXPECT_TRUE(optionValue("--set=a=b", V));
+  EXPECT_TRUE(flagValue("--set=a=b", "--set", V));
   EXPECT_EQ(V, "a=b") << "only the first '=' separates the value";
-  V = "unset";
-  EXPECT_FALSE(optionValue("--lanes", V));
-  EXPECT_EQ(V, "unset");
+}
+
+TEST(CommandLine, FlagValueRejectsNamesThatOnlyShareAPrefix) {
+  std::string V = "unset";
+  EXPECT_FALSE(flagValue("--lanesX=3", "--lanes", V));
+  EXPECT_FALSE(flagValue("--cache-bytes-per-tenant=9", "--cache-bytes", V));
+  EXPECT_FALSE(flagValue("--engine_fast=tree", "--engine", V));
+  EXPECT_FALSE(flagValue("--seedless=3", "--seed", V));
+  EXPECT_FALSE(flagValue("--lanes", "--lanes", V)) << "no '=', no value";
+  EXPECT_FALSE(flagValue("--lane=3", "--lanes", V));
+  EXPECT_FALSE(flagValue("-lanes=3", "--lanes", V));
+  EXPECT_EQ(V, "unset") << "a failed match must leave the output alone";
 }

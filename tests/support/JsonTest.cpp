@@ -9,7 +9,10 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <filesystem>
+#include <fstream>
 #include <limits>
+#include <sstream>
 
 using namespace simdflat;
 using namespace simdflat::json;
@@ -117,6 +120,74 @@ TEST(Json, NonFiniteDoublesDumpSafely) {
   auto Back = Value::parse(Inf);
   ASSERT_TRUE(Back.ok());
   EXPECT_TRUE(Back->isNumber());
+}
+
+TEST(Json, OneLineFormParsesBackWithItsNumberKinds) {
+  Value Doc = Value::object();
+  Doc.set("cycles", 1234.0);
+  Doc.set("tenth", 0.1);
+  Doc.set("nan", std::nan(""));
+  Doc.set("inf", std::numeric_limits<double>::infinity());
+  Doc.set("-inf", -std::numeric_limits<double>::infinity());
+  std::string Line = Doc.dumpLine();
+  EXPECT_EQ(Line, "{\"cycles\":1234.0,\"tenth\":0.1,\"nan\":null,"
+                  "\"inf\":1e308,\"-inf\":-1e308}");
+  auto Back = Value::parse(Line);
+  ASSERT_TRUE(Back.ok()) << Line << ": " << Back.error().render();
+  EXPECT_EQ(Back->get("cycles")->kind(), Value::Kind::Double)
+      << "1234.0 must not come back as an integer";
+  EXPECT_EQ(Back->get("cycles")->asDouble(), 1234.0);
+  EXPECT_EQ(Back->get("tenth")->asDouble(), 0.1);
+  EXPECT_TRUE(Back->get("nan")->isNull());
+  EXPECT_EQ(Back->get("inf")->asDouble(), 1e308);
+  EXPECT_EQ(Back->get("-inf")->asDouble(), -1e308);
+}
+
+TEST(Json, OneLineAndIndentedFormsHoldTheSameDocument) {
+  Value Doc = Value::object();
+  Doc.set("s", std::string("a\"b\nc\x01"));
+  Doc.set("empty_array", Value::array());
+  Doc.set("empty_object", Value::object());
+  Value Arr = Value::array();
+  Arr.push(int64_t{-3});
+  Arr.push(2.5);
+  Value Inner = Value::object();
+  Inner.set("t", true);
+  Arr.push(std::move(Inner));
+  Doc.set("arr", std::move(Arr));
+  std::string Line = Doc.dumpLine();
+  EXPECT_EQ(Line, "{\"s\":\"a\\\"b\\nc\\u0001\",\"empty_array\":[],"
+                  "\"empty_object\":{},\"arr\":[-3,2.5,{\"t\":true}]}");
+  auto FromLine = Value::parse(Line);
+  ASSERT_TRUE(FromLine.ok()) << Line;
+  EXPECT_EQ(FromLine->dump(), Doc.dump());
+  auto FromDump = Value::parse(Doc.dump());
+  ASSERT_TRUE(FromDump.ok());
+  EXPECT_EQ(FromDump->dumpLine(), Line);
+}
+
+TEST(Json, CheckedInFilesAreWriterOutput) {
+  // Every JSON file in the repository was written by writeFile, so it
+  // must equal dump(parse(file)) plus the newline writeFile appends,
+  // byte for byte: the writer's indented form is pinned by real files.
+  namespace fs = std::filesystem;
+  for (const char *Dir : {"bench/baselines", "tests/fuzz/corpus"}) {
+    size_t Files = 0;
+    for (const fs::directory_entry &E :
+         fs::directory_iterator(fs::path(SIMDFLAT_SOURCE_DIR) / Dir)) {
+      if (E.path().extension() != ".json")
+        continue;
+      std::ifstream In(E.path(), std::ios::binary);
+      std::stringstream Buf;
+      Buf << In.rdbuf();
+      std::string Text = Buf.str();
+      auto V = Value::parse(Text);
+      ASSERT_TRUE(V.ok()) << E.path() << ": " << V.error().render();
+      EXPECT_TRUE(Text == V->dump() + "\n") << E.path();
+      ++Files;
+    }
+    EXPECT_GT(Files, 0u) << Dir;
+  }
 }
 
 TEST(Json, ParseErrors) {

@@ -225,4 +225,50 @@ TEST(FlattencCli, CrossingGotoLoopsAreAPipelineError) {
   std::remove(Path.c_str());
 }
 
+TEST(FlattencCli, LoopsWithNoSimdFormArePipelineErrors) {
+  // Each used to abort inside simdize (exit 134). A lane-varying lower
+  // bound has a SIMD form once flattening removes the inner DO, so it
+  // fails only unflattened.
+  struct Case {
+    const char *DoAll, *Do, *Flags;
+  };
+  const Case Cases[] = {{"DOALL i = 1, K, 2", "DO j = 1, 4", ""},
+                        {"DOALL i = 1, K", "DO j = 1, 4, L(i)", ""},
+                        {"DOALL i = 1, K", "DO j = 1, L(i), N", ""},
+                        {"DOALL i = 1, K", "DO j = L(i), 4", "--no-flatten "}};
+  std::string Path =
+      "/tmp/flattenc_cli_nosimd_" + std::to_string(getpid()) + ".f";
+  for (const Case &C : Cases) {
+    if (FILE *F = std::fopen(Path.c_str(), "w")) {
+      std::fprintf(F,
+                   "PROGRAM NEST\nINTEGER K\nINTEGER N\n"
+                   "DISTRIBUTED INTEGER L(8)\n"
+                   "DISTRIBUTED INTEGER X(8, 4)\nINTEGER i\nINTEGER j\n"
+                   "BEGIN\n  %s\n    %s\n      X(i, j) = i\n    ENDDO\n"
+                   "  ENDDO\nEND\n",
+                   C.DoAll, C.Do);
+      std::fclose(F);
+    }
+    CliResult R = runFlattenc(std::string(C.Flags) + Path);
+    EXPECT_EQ(R.ExitCode, 1) << C.Do << ":\n" << R.Output;
+    EXPECT_NE(R.Output.find("stage 'simdize'"), std::string::npos)
+        << R.Output;
+  }
+  std::remove(Path.c_str());
+}
+
+TEST(FlattencCli, MisspelledValueFlagsAreUsageErrors) {
+  // A value flag matches only as --name=, so a longer name sharing its
+  // prefix is an unknown option, not the flag with a silently taken
+  // value.
+  std::string Fix = writeNestFixture();
+  for (const char *Flag : {"--lanesX=3", "--engine_fast=tree",
+                           "--emitter=simd", "--fuel-limit=5",
+                           "--stats-json-path=/dev/null", "--lanes"})
+    EXPECT_EQ(runFlattenc(std::string(Flag) + " " + Fix).ExitCode, 2)
+        << Flag;
+  EXPECT_EQ(runFlattenc("--lanes=3 --engine=tree " + Fix).ExitCode, 0);
+  std::remove(Fix.c_str());
+}
+
 } // namespace

@@ -132,6 +132,18 @@ TEST(FlattendCli, RetiredCompileFlagsAreUsageErrors) {
     EXPECT_EQ(runFlattend(Flag, "").ExitCode, 2) << Flag;
 }
 
+TEST(FlattendCli, MisspelledValueFlagsAreUsageErrors) {
+  // A value flag matches only as --name=: --cache-bytes-per-tenant=9
+  // used to set the global --cache-bytes budget to 9 bytes.
+  for (const char *Flag :
+       {"--cache-bytes-per-tenant=9", "--workersX=2", "--engine_fast=tree",
+        "--telemetry-path=/dev/null", "--layout2=block", "--workers"})
+    EXPECT_EQ(runFlattend(Flag, "").ExitCode, 2) << Flag;
+  CliResult R = runFlattend("--cache-bytes=100000 --cache-tenant-bytes=0",
+                            goodRequest(1) + "\n");
+  EXPECT_EQ(R.ExitCode, 0) << R.Output;
+}
+
 /// A request whose program has the DOALL/DO nest the adaptive layer
 /// profiles; trips come from the L array.
 std::string nestRequest(int Id, const std::string &LValues) {

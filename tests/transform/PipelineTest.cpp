@@ -2,6 +2,7 @@
 
 #include "transform/Pipeline.h"
 
+#include "frontend/Parser.h"
 #include "interp/ScalarInterp.h"
 #include "interp/SimdInterp.h"
 #include "ir/Builder.h"
@@ -122,6 +123,61 @@ TEST(Pipeline, CrossingGotoLoopsAreAStructuredError) {
   ASSERT_EQ(R.error().Issues.size(), 2u) << R.error().render();
   EXPECT_NE(R.error().Issues[0].find("label 1 "), std::string::npos);
   EXPECT_NE(R.error().Issues[1].find("label 2 "), std::string::npos);
+}
+
+/// A DOALL/DO nest under the given loop headers; K, N and L are inputs.
+std::string nestWith(const std::string &DoAll, const std::string &Do) {
+  return "PROGRAM NEST\nINTEGER K\nINTEGER N\n"
+         "DISTRIBUTED INTEGER L(8)\nDISTRIBUTED INTEGER X(8, 4)\n"
+         "INTEGER i\nINTEGER j\nBEGIN\n  " +
+         DoAll + "\n    " + Do +
+         "\n      X(i, j) = i\n    ENDDO\n  ENDDO\nEND\n";
+}
+
+Expected<Program, PipelineError> compileSource(const std::string &Src,
+                                               PipelineOptions PO = {}) {
+  frontend::ParseResult PR = frontend::parseProgram(Src);
+  EXPECT_TRUE(PR.ok()) << PR.Diags.renderAll();
+  return compileForSimd(*PR.Prog, PO);
+}
+
+/// Loops with no SIMD form used to abort the process inside simdize;
+/// the pipeline must name the loop instead.
+void expectNoSimdForm(const Expected<Program, PipelineError> &R,
+                      const std::string &Issue) {
+  ASSERT_FALSE(R.ok());
+  EXPECT_EQ(R.error().Stage, "simdize");
+  ASSERT_EQ(R.error().Issues.size(), 1u) << R.error().render();
+  EXPECT_EQ(R.error().Issues[0], Issue);
+}
+
+TEST(Pipeline, DoAllWithNonUnitStepIsASimdizeError) {
+  expectNoSimdForm(
+      compileSource(nestWith("DOALL i = 1, K, 2", "DO j = 1, 4")),
+      "DOALL 'i' must have unit step");
+}
+
+TEST(Pipeline, LaneVaryingInnerStepIsASimdizeError) {
+  expectNoSimdForm(
+      compileSource(nestWith("DOALL i = 1, K", "DO j = 1, 4, L(i)")),
+      "lane-varying DO step for 'j' is not supported");
+}
+
+TEST(Pipeline, LaneVaryingBoundWithNonLiteralStepIsASimdizeError) {
+  expectNoSimdForm(
+      compileSource(nestWith("DOALL i = 1, K", "DO j = 1, L(i), N")),
+      "lane-varying DO bound for 'j' with a non-literal step is not "
+      "supported");
+}
+
+TEST(Pipeline, LaneVaryingLowerBoundIsASimdizeErrorUnflattened) {
+  std::string Src = nestWith("DOALL i = 1, K", "DO j = L(i), 4");
+  PipelineOptions Unflattened;
+  Unflattened.Flatten = false;
+  expectNoSimdForm(compileSource(Src, Unflattened),
+                   "lane-varying DO lower bound for 'j' is not supported");
+  // Flattening removes the inner DO, so the flattened build has one.
+  EXPECT_TRUE(compileSource(Src).ok());
 }
 
 TEST(Pipeline, CanonicalKeySeparatesRealsPastSixDigits) {

@@ -126,17 +126,12 @@ bool parseArgs(int Argc, char **Argv, CliOptions &Opts) {
   for (int I = 1; I < Argc; ++I) {
     std::string A = Argv[I];
     std::string V;
-    if (A.rfind("--emit", 0) == 0) {
-      if (!optionValue(A, V) ||
-          (V != "f77" && V != "flat" && V != "simd"))
+    if (flagValue(A, "--emit", V)) {
+      if (V != "f77" && V != "flat" && V != "simd")
         return cliError("flattenc: --emit expects f77|flat|simd, got '%s'",
                         A);
       Opts.Emit = V;
-    } else if (A.rfind("--level", 0) == 0) {
-      if (!optionValue(A, V))
-        return cliError("flattenc: '%s' expects --level=general|"
-                        "optimized|done",
-                        A);
+    } else if (flagValue(A, "--level", V)) {
       if (V == "general")
         Opts.Level = transform::FlattenLevel::General;
       else if (V == "optimized")
@@ -147,16 +142,16 @@ bool parseArgs(int Argc, char **Argv, CliOptions &Opts) {
         return cliError("flattenc: unknown level '%s'", V);
     } else if (A == "--assume-min-one") {
       Opts.AssumeMinOne = true;
-    } else if (A.rfind("--layout", 0) == 0) {
-      if (!optionValue(A, V) || (V != "cyclic" && V != "block"))
+    } else if (flagValue(A, "--layout", V)) {
+      if (V != "cyclic" && V != "block")
         return cliError("flattenc: --layout expects cyclic|block, got '%s'",
                         A);
       Opts.Layout = V;
     } else if (A == "--no-flatten") {
       Opts.NoFlatten = true;
-    } else if (A.rfind("--strategy", 0) == 0) {
+    } else if (flagValue(A, "--strategy", V)) {
       analysis::Strategy St;
-      if (!optionValue(A, V) || !analysis::strategyFromName(V, St))
+      if (!analysis::strategyFromName(V, St))
         return cliError("flattenc: --strategy expects unflattened|"
                         "flattened|coalesced, got '%s'",
                         A);
@@ -169,24 +164,23 @@ bool parseArgs(int Argc, char **Argv, CliOptions &Opts) {
       Opts.Run = true;
     } else if (A == "--dump-bytecode") {
       Opts.DumpBytecode = true;
-    } else if (A.rfind("--engine", 0) == 0) {
-      if (!optionValue(A, V) || !interp::engineFromName(V, Opts.Eng))
+    } else if (flagValue(A, "--engine", V)) {
+      if (!interp::engineFromName(V, Opts.Eng))
         return cliError("flattenc: --engine expects "
                         "tree|bytecode|native, got '%s'",
                         A);
-    } else if (A.rfind("--lanes", 0) == 0) {
-      if (!optionValue(A, V) || !parseInt(V, Opts.Lanes) ||
-          Opts.Lanes <= 0)
+    } else if (flagValue(A, "--lanes", V)) {
+      if (!parseInt(V, Opts.Lanes) || Opts.Lanes <= 0)
         return cliError("flattenc: --lanes expects a positive integer, "
                         "got '%s'",
                         A);
-    } else if (A.rfind("--fuel", 0) == 0) {
-      if (!optionValue(A, V) || !parseInt(V, Opts.Fuel) || Opts.Fuel < 0)
+    } else if (flagValue(A, "--fuel", V)) {
+      if (!parseInt(V, Opts.Fuel) || Opts.Fuel < 0)
         return cliError("flattenc: --fuel expects a non-negative integer, "
                         "got '%s'",
                         A);
-    } else if (A.rfind("--stats-json", 0) == 0) {
-      if (!optionValue(A, V) || V.empty())
+    } else if (flagValue(A, "--stats-json", V)) {
+      if (V.empty())
         return cliError("flattenc: --stats-json expects a non-empty "
                         "path, got '%s'",
                         A);
@@ -300,7 +294,7 @@ bool checkSetName(const ir::Program &P, const std::string &Name,
 }
 
 /// Maps a cost-model verdict onto the pipeline policy that builds it.
-/// Coalesced builds get the standard static inspector bounds; the
+/// Coalesced builds get the default static inspector bounds; the
 /// profiling pass already rejected distributions that exceed them.
 transform::StrategyPolicy policyFor(analysis::Strategy S) {
   switch (S) {
@@ -309,7 +303,7 @@ transform::StrategyPolicy policyFor(analysis::Strategy S) {
   case analysis::Strategy::Flattened:
     return transform::StrategyPolicy::flattened();
   case analysis::Strategy::Coalesced:
-    return transform::StrategyPolicy::coalesced(64, 4096);
+    return transform::StrategyPolicy::coalesced();
   }
   return transform::StrategyPolicy::flattened();
 }
@@ -487,8 +481,8 @@ int realMain(int Argc, char **Argv) {
     const interp::NestTripStats *Dom =
         analysis::dominantTripNest(POut->Stats.TripNests);
     analysis::StrategyCosts Costs;
-    Costs.CoalesceMaxOuter = 64;
-    Costs.CoalesceMaxTotal = 4096;
+    Costs.CoalesceMaxOuter = transform::DefaultCoalesceMaxOuter;
+    Costs.CoalesceMaxTotal = transform::DefaultCoalesceMaxTotal;
     analysis::StrategyChoice C;
     if (Dom)
       C = analysis::chooseStrategy(

@@ -167,11 +167,11 @@ void usage() {
 
 bool intOption(const std::string &A, const char *Name, int64_t Min,
                int64_t &Out, bool &Matched) {
-  Matched = A.rfind(Name, 0) == 0;
+  std::string V;
+  Matched = flagValue(A, Name, V);
   if (!Matched)
     return true;
-  std::string V;
-  if (!optionValue(A, V) || !parseInt(V, Out) || Out < Min)
+  if (!parseInt(V, Out) || Out < Min)
     return cliError("flattend: bad value in '%s'", A);
   return true;
 }
@@ -182,10 +182,6 @@ bool parseArgs(int Argc, char **Argv, CliOptions &Opts) {
     int64_t Min;
     std::function<void(CliOptions &, int64_t)> Apply;
   };
-  // Order matters for prefix matching: longer names before their
-  // prefixes (--cache-tenant-bytes before --cache-bytes is not needed -
-  // rfind matches whole-name prefixes - but --tenant-max-in-flight vs
-  // --tenant-max-queued are disjoint).
   static const IntFlag IntFlags[] = {
       {"--workers", 1,
        [](CliOptions &O, int64_t N) { O.Server.Workers = (int)N; }},
@@ -268,19 +264,19 @@ bool parseArgs(int Argc, char **Argv, CliOptions &Opts) {
       Opts.Server.Adaptive = true;
     } else if (A == "--health") {
       Opts.Health = true;
-    } else if (A.rfind("--layout", 0) == 0) {
-      if (!optionValue(A, V) || (V != "cyclic" && V != "block"))
+    } else if (flagValue(A, "--layout", V)) {
+      if (V != "cyclic" && V != "block")
         return cliError("flattend: --layout expects cyclic|block, got '%s'",
                         A);
       Opts.Server.Layout = V == "block" ? machine::Layout::Block
                                         : machine::Layout::Cyclic;
-    } else if (A.rfind("--engine", 0) == 0) {
-      if (!optionValue(A, V) || !interp::engineFromName(V, Opts.Server.Eng))
+    } else if (flagValue(A, "--engine", V)) {
+      if (!interp::engineFromName(V, Opts.Server.Eng))
         return cliError("flattend: --engine expects "
                         "tree|bytecode|native, got '%s'",
                         A);
-    } else if (A.rfind("--telemetry", 0) == 0) {
-      if (!optionValue(A, V) || V.empty())
+    } else if (flagValue(A, "--telemetry", V)) {
+      if (V.empty())
         return cliError("flattend: --telemetry expects a non-empty path, "
                         "got '%s'",
                         A);
@@ -347,7 +343,7 @@ int healthCheck(const CliOptions &Opts) {
   Status.set("consistent", Stats.consistent() && Stats.tenantsConsistent());
   if (!Rep.Error.empty())
     Status.set("error", Rep.Error);
-  std::fputs((serve::toLine(Status) + "\n").c_str(), stdout);
+  std::fputs((Status.dumpLine() + "\n").c_str(), stdout);
   std::fflush(stdout);
   return Healthy ? 0 : 1;
 }
@@ -527,10 +523,10 @@ int realMain(int Argc, char **Argv) {
     serve::Reply Rep =
         P.Immediate ? std::move(*P.Immediate) : P.F.get();
     ++Answered;
-    std::fputs((serve::toLine(serve::toJson(Rep)) + "\n").c_str(), stdout);
+    std::fputs((serve::toJson(Rep).dumpLine() + "\n").c_str(), stdout);
     std::fflush(stdout);
     if (Telemetry.is_open())
-      Telemetry << serve::toLine(serve::telemetryJson(Rep)) << "\n";
+      Telemetry << serve::telemetryJson(Rep).dumpLine() << "\n";
   }
   if (Telemetry.is_open())
     Telemetry.flush();
@@ -550,7 +546,7 @@ int realMain(int Argc, char **Argv) {
   if (Drained)
     Summary.set("drain_clean", DrainClean);
   Summary.set("stats", serve::toJson(Stats));
-  std::fputs((serve::toLine(Summary) + "\n").c_str(), stdout);
+  std::fputs((Summary.dumpLine() + "\n").c_str(), stdout);
   std::fflush(stdout);
 
   bool Consistent = Stats.consistent() && Stats.tenantsConsistent() &&
@@ -558,7 +554,7 @@ int realMain(int Argc, char **Argv) {
                     Stats.Submitted + BadLines == (int64_t)Replies.size();
   if (!Consistent) {
     std::fprintf(stderr, "flattend: accounting inconsistency: %s\n",
-                 serve::toLine(serve::toJson(Stats)).c_str());
+                 serve::toJson(Stats).dumpLine().c_str());
     return 5;
   }
   return 0;

@@ -104,21 +104,21 @@ bool parseArgs(int Argc, char **Argv, CliOptions &Opts) {
     std::string A = Argv[I];
     std::string V;
     int64_t N = 0;
-    if (A.rfind("--seed", 0) == 0) {
-      if (!optionValue(A, V) || !parseInt(V, N) || N < 0)
+    if (flagValue(A, "--seed", V)) {
+      if (!parseInt(V, N) || N < 0)
         return cliError("flattenfuzz: --seed expects a non-negative "
                         "integer, got '%s'",
                         A);
       Opts.Seed = static_cast<uint64_t>(N);
-    } else if (A.rfind("--count", 0) == 0) {
-      if (!optionValue(A, V) || !parseInt(V, N) || N <= 0)
+    } else if (flagValue(A, "--count", V)) {
+      if (!parseInt(V, N) || N <= 0)
         return cliError("flattenfuzz: --count expects a positive "
                         "integer, got '%s'",
                         A);
       Opts.Count = N;
       CountSet = true;
-    } else if (A.rfind("--time-budget", 0) == 0) {
-      if (!optionValue(A, V) || !parseInt(V, N) || N < 0)
+    } else if (flagValue(A, "--time-budget", V)) {
+      if (!parseInt(V, N) || N < 0)
         return cliError("flattenfuzz: --time-budget expects seconds, "
                         "got '%s'",
                         A);
@@ -127,25 +127,24 @@ bool parseArgs(int Argc, char **Argv, CliOptions &Opts) {
       if (I + 1 >= Argc)
         return cliError("flattenfuzz: %s expects a file argument", A);
       Opts.ReplayPath = Argv[++I];
-    } else if (A.rfind("--replay", 0) == 0) {
-      if (!optionValue(A, V) || V.empty())
+    } else if (flagValue(A, "--replay", V)) {
+      if (V.empty())
         return cliError("flattenfuzz: --replay expects a path, got '%s'",
                         A);
       Opts.ReplayPath = V;
-    } else if (A.rfind("--campaign", 0) == 0) {
-      if (!optionValue(A, V) ||
-          (V != "faults" && V != "serve" && V != "adaptive"))
+    } else if (flagValue(A, "--campaign", V)) {
+      if (V != "faults" && V != "serve" && V != "adaptive")
         return cliError("flattenfuzz: --campaign expects 'faults', "
                         "'serve' or 'adaptive', got '%s'",
                         A);
       Opts.Campaign = V;
-    } else if (A.rfind("--export", 0) == 0) {
-      if (!optionValue(A, V) || V.empty())
+    } else if (flagValue(A, "--export", V)) {
+      if (V.empty())
         return cliError("flattenfuzz: --export expects a path, got '%s'",
                         A);
       Opts.ExportPath = V;
-    } else if (A.rfind("--out", 0) == 0) {
-      if (!optionValue(A, V) || V.empty())
+    } else if (flagValue(A, "--out", V)) {
+      if (V.empty())
         return cliError("flattenfuzz: --out expects a directory, "
                         "got '%s'",
                         A);
