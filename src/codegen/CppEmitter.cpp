@@ -5,7 +5,17 @@
 // messages / faulting lane sets, same in-lane-order reductions (FP
 // bit-identity), same masked commits.
 // Deviations allowed: scratch-only effects the interpreter never
-// observes (e.g. which coercion buffer holds an operand).
+// observes (which lanes of a register an idle lane scribbles, whether a
+// masked commit rewrites an idle lane with its own bits, the mask
+// levels' bytes), and fast paths that provably reach the same result.
+//
+// Emission is two passes over flat per-program tables. The first is a
+// forward kind-and-constant dataflow over the lowered CFG: per block
+// entry, every register's static kind (or "undefined"/"mixed") and
+// known constant, plus the static mask depth. The second walks the code
+// in PC order, replays the same transfer function and prints each
+// reachable instruction with its operands' static kinds, so the module
+// carries no runtime kind tag and no mask-stack pointer.
 //
 //===----------------------------------------------------------------------===//
 
@@ -13,11 +23,13 @@
 
 #include "codegen/NativeAbi.h"
 #include "exec/Bytecode.h"
+#include "interp/RunStats.h"
 #include "interp/Trap.h"
 #include "ir/Program.h"
 #include "machine/Machine.h"
 
 #include <cinttypes>
+#include <cmath>
 #include <cstdio>
 #include <cstring>
 #include <string>
@@ -50,21 +62,28 @@ std::string escapeString(const std::string &S) {
   return Out;
 }
 
+uint64_t bitsOf(double V) {
+  uint64_t B;
+  std::memcpy(&B, &V, sizeof(B));
+  return B;
+}
+
 /// Bit-exact C++ literal for \p V: hexfloat for finite values, a
-/// bit-pattern reinterpretation for NaN/Inf (pool values are normally
-/// finite; this keeps pathological constants exact anyway).
+/// bit-pattern reinterpretation for NaN/Inf.
 std::string realLiteral(double V) {
-  if (V == V && V <= 1.7976931348623157e308 && V >= -1.7976931348623157e308) {
-    char Buf[64];
-    std::snprintf(Buf, sizeof(Buf), "%a", V);
-    return Buf;
-  }
-  uint64_t Bits;
-  std::memcpy(&Bits, &V, sizeof(Bits));
   char Buf[64];
-  std::snprintf(Buf, sizeof(Buf), "sfBits(UINT64_C(0x%016" PRIx64 "))",
-                Bits);
+  if (V == V && V <= 1.7976931348623157e308 && V >= -1.7976931348623157e308)
+    std::snprintf(Buf, sizeof(Buf), "%a", V);
+  else
+    std::snprintf(Buf, sizeof(Buf), "sfBits(UINT64_C(0x%016" PRIx64 "))",
+                  bitsOf(V));
   return Buf;
+}
+
+std::string intLiteral(int64_t V) {
+  if (V == INT64_MIN)
+    return "INT64_MIN";
+  return "INT64_C(" + std::to_string(V) + ")";
 }
 
 /// Static per-slot facts baked into the generated code.
@@ -81,14 +100,52 @@ struct SlotFacts {
 };
 
 int trapCode(interp::TrapKind K) { return static_cast<int>(K); }
-int costCode(CostKind K) { return static_cast<int>(K); }
+
+/// Static register kinds: the ir::ScalarKind values plus two lattice
+/// points for "no definition reaches" and "definitions disagree".
+enum : uint8_t { KInt = 0, KReal = 1, KBool = 2, KUndef = 3, KMixed = 4 };
+
+/// What the dataflow knows about one register at one program point.
+struct RegFact {
+  uint8_t Kind = KUndef;
+  bool HasConst = false;
+  /// The constant: an integer/logical value, or a real's bit pattern.
+  int64_t Bits = 0;
+  bool operator==(const RegFact &O) const {
+    return Kind == O.Kind && HasConst == O.HasConst &&
+           (!HasConst || Bits == O.Bits);
+  }
+};
+
+/// Stack frames above this many bytes live in one heap block instead
+/// (lane counts in the thousands would otherwise overflow a thread's
+/// stack).
+constexpr int64_t MaxStackFrameBytes = 256 * 1024;
+
+bool isBranch(Opcode Op) {
+  switch (Op) {
+  case Opcode::Jmp:
+  case Opcode::UBrFalse:
+  case Opcode::DoTest:
+  case Opcode::FaBegin:
+  case Opcode::FaLayerTest:
+    return true;
+  default:
+    return false;
+  }
+}
+
+bool fallsThrough(Opcode Op) {
+  return Op != Opcode::Jmp && Op != Opcode::Halt && Op != Opcode::TrapMsg;
+}
 
 class Emitter {
 public:
   Emitter(const Program &EP, const ir::Program &IRP,
           const machine::MachineConfig &Machine)
       : EP(EP), IRP(IRP), Machine(Machine), Lanes(Machine.Gran),
-        Cyclic(Machine.DataLayout == machine::Layout::Cyclic) {}
+        Cyclic(Machine.DataLayout == machine::Layout::Cyclic),
+        NumRegs(EP.NumRegs) {}
 
   std::string emit();
 
@@ -98,9 +155,30 @@ private:
   const machine::MachineConfig &Machine;
   int64_t Lanes;
   bool Cyclic;
+  int32_t NumRegs;
   std::vector<SlotFacts> Slots;
   std::string Out;
   bool Failed = false;
+
+  // Flat per-program analysis tables.
+  /// PC -> block index for block leaders, -1 elsewhere.
+  std::vector<int32_t> BlockAt;
+  /// Branch targets (the only PCs that get a label).
+  std::vector<uint8_t> IsTarget;
+  /// NumBlocks x NumRegs register facts at each block entry.
+  std::vector<RegFact> BlockIn;
+  /// Mask depth at each block entry; -1 = not reached.
+  std::vector<int32_t> BlockDepth;
+  int32_t MaxDepth = 0;
+
+  /// Facts at the current program point (one row, reused).
+  std::vector<RegFact> Cur;
+  int32_t Depth = 0;
+
+  /// Per register: bit 0 = integer payload referenced, bit 1 = real.
+  std::vector<uint8_t> RegUse;
+  int32_t MaxArgs = 0;
+  bool HasCalls = false;
 
   void ln(const std::string &S) {
     Out += S;
@@ -108,26 +186,169 @@ private:
   }
   static std::string i2s(int64_t V) { return std::to_string(V); }
 
-  /// "Rg[3]" for register operands.
-  static std::string reg(int32_t R) { return "Rg[" + i2s(R) + "]"; }
-  /// "SfMsgs[2]" with a bounds check at emit time.
+  bool collectSlots();
+  bool analyze();
+  void loadBlock(int32_t B);
+  bool flowTo(int32_t PC);
+  void step(const Instr &I);
+  void define(int32_t R, uint8_t Kind, bool HasConst = false,
+              int64_t Bits = 0);
+  void emitInstr(size_t PC, const Instr &I);
+  std::string frame(int64_t &Bytes, bool Heap);
+  /// The constant a load puts in every lane: its kind and bits (a
+  /// real's bit pattern). False for other opcodes and for a pool index
+  /// out of range.
+  bool loadedConst(const Instr &I, uint8_t &Kind, int64_t &Bits) const;
+  /// Bit-exact C++ literal of a constant of kind \p K.
+  static std::string literal(uint8_t K, int64_t Bits) {
+    if (K != KReal)
+      return intLiteral(Bits);
+    double V;
+    std::memcpy(&V, &Bits, sizeof(V));
+    return realLiteral(V);
+  }
+
+  // Operand checks and views. Each one refuses (Failed) a register whose
+  // static kind the interpreter's handler could not read, so the
+  // emitted module never has to dispatch on a runtime kind.
+  bool validReg(int32_t R) {
+    if (R < 0 || R >= NumRegs) {
+      Failed = true;
+      return false;
+    }
+    return true;
+  }
+  uint8_t kindOf(int32_t R) {
+    if (!validReg(R))
+      return KMixed;
+    uint8_t K = Cur[static_cast<size_t>(R)].Kind;
+    if (K > KBool)
+      Failed = true;
+    return K;
+  }
+  const SlotFacts *slot(int32_t S) {
+    if (S < 0 || static_cast<size_t>(S) >= Slots.size()) {
+      Failed = true;
+      return nullptr;
+    }
+    return &Slots[static_cast<size_t>(S)];
+  }
+  /// Operand list behind an Extra offset: [count, regs...].
+  const int32_t *extra(int32_t Off) {
+    if (Off < 0 || static_cast<size_t>(Off) >= EP.Extra.size() ||
+        EP.Extra[static_cast<size_t>(Off)] < 0 ||
+        static_cast<size_t>(Off) + 1 +
+                static_cast<size_t>(EP.Extra[static_cast<size_t>(Off)]) >
+            EP.Extra.size()) {
+      Failed = true;
+      return nullptr;
+    }
+    return &EP.Extra[static_cast<size_t>(Off)];
+  }
   std::string msg(int32_t M) {
     if (M < 0 || static_cast<size_t>(M) >= EP.Msgs.size()) {
       Failed = true;
-      return "\"\"";
+      return "";
     }
-    return "SfMsgs[" + i2s(M) + "]";
+    return EP.Msgs[static_cast<size_t>(M)];
   }
-  std::string costExpr(CostKind K) {
-    return "Costs[" + i2s(costCode(K)) + "]";
+  /// C++ string literal for \p S.
+  static std::string lit(const std::string &S) {
+    return "\"" + escapeString(S) + "\"";
+  }
+  std::string cost(CostKind K) { return "C" + i2s(static_cast<int>(K)); }
+  /// One charge of \p Cycles (a C++ expression) at \p Loc.
+  void charge(const std::string &Cycles, const std::string &Loc) {
+    ln("    sfCharge(" + Cycles + ", " + Loc + ");");
   }
 
-  bool collectSlots();
-  void prologue(int64_t MaskLevels, int32_t MaxArgs);
-  void emitInstr(size_t PC, const Instr &I);
-  /// Emits the "compute Flat/InB from index registers" block shared by
-  /// Gather and StArr; reads per-lane loop variable L.
-  void emitFlatten(const SlotFacts &S, const int32_t *Ops, int32_t N);
+  /// Destination payloads.
+  std::string dstI(int32_t R) {
+    RegUse[static_cast<size_t>(R)] |= 1;
+    return "Ri" + i2s(R);
+  }
+  std::string dstR(int32_t R) {
+    RegUse[static_cast<size_t>(R)] |= 2;
+    return "Rr" + i2s(R);
+  }
+  /// Integer/logical payload of \p R at lane \p Ln (a literal when the
+  /// value is a known constant); a real register is refused.
+  std::string iv(int32_t R, const std::string &Ln = "L") {
+    uint8_t K = kindOf(R);
+    if (Failed)
+      return "0";
+    if (K == KReal) {
+      Failed = true;
+      return "0";
+    }
+    const RegFact &F = Cur[static_cast<size_t>(R)];
+    if (F.HasConst)
+      return literal(K, F.Bits);
+    return dstI(R) + "[" + Ln + "]";
+  }
+  /// Real view of \p R (readReal): int and logical lanes widen.
+  std::string rv(int32_t R, const std::string &Ln = "L") {
+    uint8_t K = kindOf(R);
+    if (Failed)
+      return "0.0";
+    const RegFact &F = Cur[static_cast<size_t>(R)];
+    if (K != KReal)
+      return "(double)" + iv(R, Ln);
+    if (F.HasConst)
+      return literal(K, F.Bits);
+    return dstR(R) + "[" + Ln + "]";
+  }
+  /// readVec(R, K): the same kind reads as is, int/logical -> real
+  /// widens, real -> int truncates; any other pairing is refused (the
+  /// interpreter treats it as a fatal error).
+  std::string asKind(int32_t R, int K, const std::string &Ln = "L") {
+    uint8_t Have = kindOf(R);
+    if (Failed)
+      return "0";
+    if (K == KReal)
+      return rv(R, Ln);
+    if (Have == K)
+      return iv(R, Ln);
+    if (K != KInt || Have != KReal) {
+      Failed = true;
+      return "0";
+    }
+    const RegFact &F = Cur[static_cast<size_t>(R)];
+    if (!F.HasConst)
+      return "(int64_t)" + rv(R, Ln);
+    // A constant in range truncates exactly here. Outside it (and for
+    // NaN) the host's conversion instruction decides, as it does in
+    // the interpreter: keep that a run-time conversion, which the host
+    // compiler's constant folder (it saturates) must not see.
+    double V;
+    std::memcpy(&V, &F.Bits, sizeof(V));
+    if (V >= -0x1p63 && V < 0x1p63)
+      return intLiteral(static_cast<int64_t>(V));
+    return "(int64_t)sfOpaque(" + realLiteral(V) + ")";
+  }
+  /// Activity of lane \p Ln under the current (static-depth) mask; the
+  /// base level is all ones.
+  std::string act(const std::string &Ln = "L") {
+    if (Depth == 0)
+      return "1";
+    return "MaskCur[" + i2s(Depth * Lanes) + " + " + Ln + "]";
+  }
+  std::string maskPtr() { return "MaskCur + " + i2s(Depth * Lanes); }
+  std::string trap(interp::TrapKind K, const std::string &Loc,
+                   const std::string &Detail, bool WithLanes) {
+    return "sfTrap(" + i2s(trapCode(K)) + ", " + Loc + ", " + Detail +
+           (WithLanes ? ", BadL, NBad);" : ", nullptr, 0);");
+  }
+
+  /// "Lane L of a subscript is out of bounds" over \p N index registers
+  /// of \p S, as one branch-free expression.
+  std::string oobExpr(const SlotFacts &S, const int32_t *Ops, int32_t N);
+  /// Row-major flat offset of the in-bounds subscripts at lane L.
+  std::string flatExpr(const SlotFacts &S, const int32_t *Ops, int32_t N);
+  std::string commExpr(const SlotFacts &S, const int32_t *Ops);
+  /// Uniformity check of \p R (uniformInt); leaves the value in First.
+  void emitUniform(int32_t R, const std::string &What,
+                   const std::string &Loc);
 };
 
 bool Emitter::collectSlots() {
@@ -152,443 +373,498 @@ bool Emitter::collectSlots() {
   return true;
 }
 
-void Emitter::prologue(int64_t MaskLevels, int32_t MaxArgs) {
-  ln("// Generated by simdflat codegen::CppEmitter - do not edit.");
-  ln("// program '" + escapeString(EP.ProgName) + "', lanes " + i2s(Lanes) +
-     ", layout " + (Cyclic ? "cyclic" : "block") + ".");
-  ln("#include <algorithm>");
-  ln("#include <cmath>");
-  ln("#include <cstdint>");
-  ln("#include <cstdlib>");
-  ln("#include <cstring>");
-  ln("#include <string>");
-  ln("#include <vector>");
-  ln("");
-  // Textual copy of the NativeAbi.h structs; the entry point verifies
-  // AbiVersion + sizeof before touching anything else.
-  ln("struct SfSlot { int64_t *I; double *R; int64_t Width; };");
-  ln("struct SfContext {");
-  ln("  int32_t AbiVersion; uint32_t StructBytes; void *Host;");
-  ln("  SfSlot *Slots; double Costs[10]; int64_t Fuel;");
-  ln("  int64_t MaxLoopIterations; int32_t HasDeadline; int32_t "
-     "HasExterns;");
-  ln("  double Cycles; int64_t Instructions; int64_t CommAccesses;");
-  ln("  double *CalleeCosts; uint8_t *CalleeBound; uint8_t *CalleeWork;");
-  ln("  uint8_t *SlotWork;");
-  ln("  void (*Trap)(void *, int32_t, int32_t, const char *, const "
-     "int64_t *, int64_t);");
-  ln("  int32_t (*DeadlineExpired)(void *, int64_t);");
-  ln("  void (*TripRec)(void *, int32_t, int64_t);");
-  ln("  void (*WorkStep)(void *, const uint8_t *);");
-  ln("  void (*CallLane)(void *, int32_t, int64_t, int32_t, int32_t, "
-     "const int8_t *, const int64_t *, const double *, int64_t *, "
-     "double *);");
-  ln("};");
-  ln("");
-  ln("#define SF_PROG \"" + escapeString(EP.ProgName) + "\"");
-  ln("static constexpr int64_t SF_LANES = " + i2s(Lanes) + ";");
-  ln("static constexpr int64_t SF_NUMREGS = " + i2s(EP.NumRegs) + ";");
-  ln("static constexpr int64_t SF_NUMCTL = " + i2s(EP.NumCtl) + ";");
-  ln("static constexpr int64_t SF_LEVELS = " + i2s(MaskLevels) + ";");
-  ln("static constexpr int32_t SF_MAXARGS = " + i2s(MaxArgs) + ";");
-  ln("");
-  ln("static inline double sfBits(uint64_t B) {");
-  ln("  double V; std::memcpy(&V, &B, sizeof(V)); return V;");
-  ln("}");
-  ln("");
-  // Constant pools. Emit one dummy entry when empty so the arrays stay
-  // well-formed; nothing indexes past the real contents.
-  {
-    std::string S = "static const int64_t SfIntPool[] = {";
-    for (int64_t V : EP.IntPool)
-      S += "INT64_C(" + i2s(V) + "), ";
-    S += "0};";
-    ln(S);
+bool Emitter::loadedConst(const Instr &I, uint8_t &Kind,
+                          int64_t &Bits) const {
+  switch (I.Op) {
+  case Opcode::LdInt:
+    if (I.B < 0 || static_cast<size_t>(I.B) >= EP.IntPool.size())
+      return false;
+    Kind = KInt;
+    Bits = EP.IntPool[static_cast<size_t>(I.B)];
+    return true;
+  case Opcode::LdReal:
+    if (I.B < 0 || static_cast<size_t>(I.B) >= EP.RealPool.size())
+      return false;
+    Kind = KReal;
+    Bits = static_cast<int64_t>(bitsOf(EP.RealPool[static_cast<size_t>(I.B)]));
+    return true;
+  case Opcode::LdBool:
+    Kind = KBool;
+    Bits = I.B != 0 ? 1 : 0;
+    return true;
+  case Opcode::NumLanesOp:
+    Kind = KInt;
+    Bits = Lanes;
+    return true;
+  default:
+    return false;
   }
-  {
-    std::string S = "static const double SfRealPool[] = {";
-    for (double V : EP.RealPool)
-      S += realLiteral(V) + ", ";
-    S += "0.0};";
-    ln(S);
-  }
-  {
-    std::string S = "static const char *const SfMsgs[] = {";
-    for (const std::string &M : EP.Msgs) {
-      // Appended piecewise: GCC 12's -O2 -Werror=restrict misfires on
-      // the `"lit" + std::string&&` concatenation chain here.
-      S += '"';
-      S += escapeString(M);
-      S += "\", ";
-    }
-    S += "\"\"};";
-    ln(S);
-  }
-  ln("");
-  ln("struct SfReg { int8_t K; int64_t I[SF_LANES]; double R[SF_LANES]; "
-     "};");
-  ln("");
-  ln("extern \"C\" int32_t simdflat_native_run(SfContext *Ctx) {");
-  ln("  if (Ctx->AbiVersion != " + i2s(SfNativeAbiVersion) +
-     " || Ctx->StructBytes != (uint32_t)sizeof(SfContext))");
-  ln("    return 1;");
-  ln("  SfSlot *SL = Ctx->Slots;");
-  ln("  const double *Costs = Ctx->Costs;");
-  ln("  const int64_t Fuel = Ctx->Fuel;");
-  ln("  const int64_t MaxLoopIters = Ctx->MaxLoopIterations;");
-  ln("  const bool HasDeadline = Ctx->HasDeadline != 0;");
-  ln("  double Cycles = Ctx->Cycles;");
-  ln("  int64_t Instructions = Ctx->Instructions;");
-  ln("  int64_t Comm = Ctx->CommAccesses;");
-  ln("  int64_t LoopIterations = 0;");
-  // Register file + two coercion scratch registers, value-initialized
-  // (all-zero) like the interpreter's fresh VecVals.
-  ln("  std::vector<SfReg> RegFile((size_t)SF_NUMREGS + 2);");
-  ln("  SfReg *Rg = RegFile.data();");
-  ln("  SfReg &TA = Rg[SF_NUMREGS];");
-  ln("  SfReg &TB = Rg[SF_NUMREGS + 1];");
-  ln("  (void)TA; (void)TB;");
-  ln("  std::vector<int64_t> CtlV((size_t)SF_NUMCTL + 1, 0);");
-  ln("  int64_t *Ctl = CtlV.data(); (void)Ctl;");
-  // Mask level arrays: MaskCur[d] is the composed mask at depth d,
-  // MaskCond[d] the condition that produced it (flipTop needs both).
-  ln("  std::vector<uint8_t> MaskCurV((size_t)(SF_LEVELS * SF_LANES), "
-     "0);");
-  ln("  std::vector<uint8_t> MaskCondV((size_t)(SF_LEVELS * SF_LANES), "
-     "0);");
-  ln("  uint8_t *MaskCur = MaskCurV.data();");
-  ln("  uint8_t *MaskCond = MaskCondV.data(); (void)MaskCond;");
-  ln("  for (int64_t L = 0; L < SF_LANES; ++L) MaskCur[L] = 1;");
-  ln("  int64_t MD = 0;");
-  ln("  uint8_t *CM = MaskCur;");
-  // Shared scratch: faulting-lane collection, scatter flats, mask
-  // conditions, extern call marshalling.
-  ln("  std::vector<int64_t> BadV((size_t)SF_LANES);");
-  ln("  int64_t *BadL = BadV.data(); (void)BadL;");
-  ln("  int64_t NBad = 0; (void)NBad;");
-  ln("  std::vector<int64_t> FlatsV((size_t)SF_LANES);");
-  ln("  int64_t *Flats = FlatsV.data(); (void)Flats;");
-  ln("  std::vector<uint8_t> CondV((size_t)SF_LANES);");
-  ln("  uint8_t *CondM = CondV.data(); (void)CondM;");
-  ln("  std::vector<int8_t> ArgKV((size_t)SF_MAXARGS);");
-  ln("  std::vector<int64_t> ArgIV((size_t)SF_MAXARGS);");
-  ln("  std::vector<double> ArgRV((size_t)SF_MAXARGS);");
-  ln("  int8_t *ArgK = ArgKV.data(); (void)ArgK;");
-  ln("  int64_t *ArgI = ArgIV.data(); (void)ArgI;");
-  ln("  double *ArgR = ArgRV.data(); (void)ArgR;");
-  ln("");
-  ln("  auto sfSync = [&]() {");
-  ln("    Ctx->Cycles = Cycles;");
-  ln("    Ctx->Instructions = Instructions;");
-  ln("    Ctx->CommAccesses = Comm;");
-  ln("  };");
-  // Trap never returns: the host callback throws through this frame
-  // (the module is compiled with unwind tables like everything else);
-  // abort() is a belt for a misbehaving host.
-  ln("  auto sfTrap = [&](int32_t Kind, int32_t Loc, const char *Detail,");
-  ln("                    const int64_t *Lns, int64_t N) {");
-  ln("    sfSync();");
-  ln("    Ctx->Trap(Ctx->Host, Kind, Loc, Detail, Lns, N);");
-  ln("    std::abort();");
-  ln("  };");
-  ln("  auto sfCharge = [&](double C, int32_t Loc) {");
-  ln("    Cycles += C;");
-  ln("    Instructions += 1;");
-  ln("    if (Fuel > 0 && Instructions > Fuel) {");
-  ln("      std::string D = \"fuel budget of \" + std::to_string(Fuel) +");
-  ln("                      \" instructions exhausted in '\" SF_PROG "
-     "\"'\";");
-  ln("      sfTrap(" + i2s(trapCode(interp::TrapKind::FuelExhausted)) +
-     ", Loc, D.c_str(), nullptr, 0);");
-  ln("    }");
-  ln("    if (HasDeadline && Instructions % 64 == 1) {");
-  ln("      sfSync();");
-  ln("      if (Ctx->DeadlineExpired(Ctx->Host, Instructions))");
-  ln("        sfTrap(" + i2s(trapCode(interp::TrapKind::DeadlineExpired)) +
-     ", Loc, \"wall-clock deadline expired in '\" SF_PROG \"'\", "
-     "nullptr, 0);");
-  ln("    }");
-  ln("  };");
-  ln("  auto sfLoopIter = [&](int32_t Loc) {");
-  ln("    if (++LoopIterations > MaxLoopIters) {");
-  ln("      std::string D = \"loop iteration limit of \" +");
-  ln("                      std::to_string(MaxLoopIters) +");
-  ln("                      \" exceeded in '\" SF_PROG \"' "
-     "(non-terminating transform?)\";");
-  ln("      sfTrap(" + i2s(trapCode(interp::TrapKind::FuelExhausted)) +
-     ", Loc, D.c_str(), nullptr, 0);");
-  ln("    }");
-  ln("    sfCharge(" + costExpr(CostKind::LoopOverhead) + ", Loc);");
-  ln("  };");
-  ln("  auto sfUniform = [&](const SfReg &V, const char *What, int32_t "
-     "Loc) -> int64_t {");
-  ln("    int64_t First = V.I[0];");
-  ln("    NBad = 0;");
-  ln("    for (int64_t L = 0; L < SF_LANES; ++L)");
-  ln("      if (V.I[L] != First) BadL[NBad++] = L;");
-  ln("    if (NBad) {");
-  ln("      std::string D = std::string(What) +");
-  ln("          \" is not control-uniform across lanes; lane-varying "
-     "control flow needs WHERE / WHILE ANY(...)\";");
-  ln("      sfTrap(" + i2s(trapCode(interp::TrapKind::NonUniformControl)) +
-     ", Loc, D.c_str(), BadL, NBad);");
-  ln("    }");
-  ln("    return First;");
-  ln("  };");
-  // readVec transcriptions: lowering guarantees only Int<->Real and
-  // matching-kind reads, so two helpers cover every coercion site.
-  ln("  auto sfToReal = [&](const SfReg &V, SfReg &Tmp) -> const SfReg & "
-     "{");
-  ln("    if (V.K == 1) return V;");
-  ln("    Tmp.K = 1;");
-  ln("    for (int64_t L = 0; L < SF_LANES; ++L) Tmp.R[L] = "
-     "(double)V.I[L];");
-  ln("    return Tmp;");
-  ln("  };");
-  ln("  auto sfToKind = [&](const SfReg &V, int8_t K, SfReg &Tmp) -> "
-     "const SfReg & {");
-  ln("    if (V.K == K) return V;");
-  ln("    Tmp.K = K;");
-  ln("    if (K == 1) {");
-  ln("      for (int64_t L = 0; L < SF_LANES; ++L) Tmp.R[L] = "
-     "(double)V.I[L];");
-  ln("    } else {");
-  ln("      for (int64_t L = 0; L < SF_LANES; ++L) Tmp.I[L] = "
-     "(int64_t)V.R[L];");
-  ln("    }");
-  ln("    return Tmp;");
-  ln("  };");
-  ln("  auto sfLayers = [](int64_t E) -> int64_t {");
-  ln("    return E <= 0 ? 1 : (E + SF_LANES - 1) / SF_LANES;");
-  ln("  };");
-  if (Cyclic)
-    ln("  auto sfLaneOf = [&](int64_t Index, int64_t) -> int64_t {"
-       " return (Index - 1) % SF_LANES; };");
-  else
-    ln("  auto sfLaneOf = [&](int64_t Index, int64_t Extent) -> int64_t {"
-       " return (Index - 1) / sfLayers(Extent); };");
-  ln("  (void)sfLaneOf; (void)sfLayers;");
-  ln("  auto sfPush = [&](const uint8_t *Cond) {");
-  ln("    uint8_t *Par = MaskCur + (size_t)(MD * SF_LANES);");
-  ln("    uint8_t *Nxt = Par + SF_LANES;");
-  ln("    uint8_t *Cnd = MaskCond + (size_t)((MD + 1) * SF_LANES);");
-  ln("    for (int64_t L = 0; L < SF_LANES; ++L) {");
-  ln("      Cnd[L] = Cond[L];");
-  ln("      Nxt[L] = (uint8_t)(Par[L] & Cond[L]);");
-  ln("    }");
-  ln("    ++MD;");
-  ln("    CM = Nxt;");
-  ln("  };");
-  ln("  auto sfFlip = [&]() {");
-  ln("    uint8_t *Par = MaskCur + (size_t)((MD - 1) * SF_LANES);");
-  ln("    uint8_t *Cnd = MaskCond + (size_t)(MD * SF_LANES);");
-  ln("    for (int64_t L = 0; L < SF_LANES; ++L)");
-  ln("      CM[L] = (uint8_t)(Par[L] & !Cnd[L]);");
-  ln("  };");
-  ln("  auto sfPop = [&]() {");
-  ln("    --MD;");
-  ln("    CM = MaskCur + (size_t)(MD * SF_LANES);");
-  ln("  };");
-  ln("  (void)sfPush; (void)sfFlip; (void)sfPop; (void)sfUniform;");
-  ln("  (void)sfToReal; (void)sfToKind; (void)sfLoopIter;");
-  ln("");
 }
 
-void Emitter::emitFlatten(const SlotFacts &S, const int32_t *Ops,
-                          int32_t N) {
-  // Transcribes the per-lane dim loop with its early break; a partial
-  // Flat after an out-of-bounds dim is never read.
-  ln("      int64_t Flat = 0; bool InB = true;");
-  ln("      do {");
+void Emitter::define(int32_t R, uint8_t Kind, bool HasConst, int64_t Bits) {
+  if (!validReg(R))
+    return;
+  RegFact &F = Cur[static_cast<size_t>(R)];
+  F.Kind = Kind;
+  F.HasConst = HasConst;
+  F.Bits = HasConst ? Bits : 0;
+}
+
+/// The transfer function: what \p I defines and how it moves the mask.
+void Emitter::step(const Instr &I) {
+  auto srcKind = [&](int32_t R) {
+    return R >= 0 && R < NumRegs ? Cur[static_cast<size_t>(R)].Kind
+                                 : static_cast<uint8_t>(KMixed);
+  };
+  switch (I.Op) {
+  case Opcode::LdInt:
+  case Opcode::LdReal:
+  case Opcode::LdBool:
+  case Opcode::NumLanesOp: {
+    uint8_t K;
+    int64_t Bits;
+    if (!loadedConst(I, K, Bits)) {
+      Failed = true;
+      return;
+    }
+    define(I.A, K, true, Bits);
+    return;
+  }
+  case Opcode::LdVar:
+  case Opcode::Gather:
+    if (const SlotFacts *S = slot(I.B))
+      define(I.A, static_cast<uint8_t>(S->Kind));
+    return;
+  case Opcode::Neg:
+  case Opcode::AbsOp:
+  case Opcode::NotOp:
+    define(I.A, srcKind(I.B));
+    return;
+  case Opcode::AndOp:
+  case Opcode::OrOp:
+  case Opcode::CmpEq:
+  case Opcode::CmpNe:
+  case Opcode::CmpLt:
+  case Opcode::CmpLe:
+  case Opcode::CmpGt:
+  case Opcode::CmpGe:
+  case Opcode::AnyAll:
+    define(I.A, KBool);
+    return;
+  case Opcode::AddI:
+  case Opcode::SubI:
+  case Opcode::MulI:
+  case Opcode::DivI:
+  case Opcode::ModI:
+  case Opcode::LaneIdx:
+    define(I.A, KInt);
+    return;
+  case Opcode::AddR:
+  case Opcode::SubR:
+  case Opcode::MulR:
+  case Opcode::DivR:
+  case Opcode::SqrtOp:
+    define(I.A, KReal);
+    return;
+  case Opcode::MaxMin:
+    if ((I.D >> 1) > KBool || I.D < 0) {
+      Failed = true;
+      return;
+    }
+    define(I.A, static_cast<uint8_t>(I.D >> 1));
+    return;
+  case Opcode::LaneRed:
+    define(I.A, srcKind(I.B) == KReal ? KReal : KInt);
+    return;
+  case Opcode::ArrRed:
+    if (const SlotFacts *S = slot(I.B))
+      define(I.A, S->IsReal ? KReal : KInt);
+    return;
+  case Opcode::CallOp:
+    if (I.D < 0 || I.D > KBool) {
+      Failed = true;
+      return;
+    }
+    if (I.A >= 0)
+      define(I.A, static_cast<uint8_t>(I.D));
+    return;
+  case Opcode::WherePush:
+  case Opcode::FaLayerMask:
+    ++Depth;
+    if (Depth > MaxDepth)
+      MaxDepth = Depth;
+    return;
+  case Opcode::WhereFlip:
+    if (Depth < 1)
+      Failed = true;
+    return;
+  case Opcode::MaskPop:
+    if (--Depth < 0)
+      Failed = true;
+    return;
+  default:
+    return;
+  }
+}
+
+void Emitter::loadBlock(int32_t B) {
+  size_t Row = static_cast<size_t>(B) * static_cast<size_t>(NumRegs);
+  for (size_t R = 0; R < static_cast<size_t>(NumRegs); ++R)
+    Cur[R] = BlockIn[Row + R];
+  Depth = BlockDepth[static_cast<size_t>(B)];
+}
+
+/// Merges the current facts into the entry of the block at \p PC;
+/// returns true when that entry changed.
+bool Emitter::flowTo(int32_t PC) {
+  int32_t B = BlockAt[static_cast<size_t>(PC)];
+  size_t Row = static_cast<size_t>(B) * static_cast<size_t>(NumRegs);
+  int32_t &D = BlockDepth[static_cast<size_t>(B)];
+  if (D < 0) {
+    D = Depth;
+    for (size_t R = 0; R < static_cast<size_t>(NumRegs); ++R)
+      BlockIn[Row + R] = Cur[R];
+    return true;
+  }
+  // The mask discipline is structural: every path into a block must
+  // arrive at one depth, or the program is not emitted.
+  if (D != Depth) {
+    Failed = true;
+    return false;
+  }
+  bool Changed = false;
+  for (size_t R = 0; R < static_cast<size_t>(NumRegs); ++R) {
+    RegFact &In = BlockIn[Row + R];
+    RegFact M = In;
+    if (M.Kind != Cur[R].Kind)
+      M.Kind = KMixed;
+    if (!(M.HasConst && Cur[R].HasConst && M.Bits == Cur[R].Bits)) {
+      M.HasConst = false;
+      M.Bits = 0;
+    }
+    if (!(M == In)) {
+      In = M;
+      Changed = true;
+    }
+  }
+  return Changed;
+}
+
+bool Emitter::analyze() {
+  size_t N = EP.Code.size();
+  if (N == 0 || NumRegs < 0)
+    return false;
+  BlockAt.assign(N, -1);
+  IsTarget.assign(N, 0);
+  BlockAt[0] = 0;
+  for (size_t PC = 0; PC < N; ++PC) {
+    const Instr &I = EP.Code[PC];
+    if (isBranch(I.Op)) {
+      if (I.D < 0 || static_cast<size_t>(I.D) >= N)
+        return false;
+      IsTarget[static_cast<size_t>(I.D)] = 1;
+      BlockAt[static_cast<size_t>(I.D)] = 0;
+    }
+    if (fallsThrough(I.Op) && PC + 1 == N)
+      return false; // control would run off the end
+    if ((isBranch(I.Op) || !fallsThrough(I.Op)) && PC + 1 < N)
+      BlockAt[PC + 1] = 0;
+  }
+  int32_t NumBlocks = 0;
+  for (int32_t &B : BlockAt)
+    if (B >= 0)
+      B = NumBlocks++;
+  BlockIn.assign(static_cast<size_t>(NumBlocks) *
+                     static_cast<size_t>(NumRegs),
+                 RegFact{});
+  BlockDepth.assign(static_cast<size_t>(NumBlocks), -1);
+  BlockDepth[0] = 0;
+  Cur.assign(static_cast<size_t>(NumRegs), RegFact{});
+
+  for (bool Changed = true; Changed;) {
+    Changed = false;
+    bool Live = false;
+    for (size_t PC = 0; PC < N; ++PC) {
+      int32_t B = BlockAt[PC];
+      if (B >= 0) {
+        // Falling into a leader already merged this block's facts.
+        Live = BlockDepth[static_cast<size_t>(B)] >= 0;
+        if (Live)
+          loadBlock(B);
+      }
+      if (!Live)
+        continue;
+      const Instr &I = EP.Code[PC];
+      step(I);
+      if (isBranch(I.Op))
+        Changed |= flowTo(I.D);
+      if (fallsThrough(I.Op) && BlockAt[PC + 1] >= 0)
+        Changed |= flowTo(static_cast<int32_t>(PC + 1));
+      if (Failed)
+        return false;
+      if (!fallsThrough(I.Op))
+        Live = false;
+    }
+  }
+  return true;
+}
+
+std::string Emitter::oobExpr(const SlotFacts &S, const int32_t *Ops,
+                             int32_t N) {
+  std::string E;
   for (int32_t Dim = 0; Dim < N; ++Dim) {
     int64_t Extent = Dim < static_cast<int32_t>(S.Dims.size())
                          ? S.Dims[static_cast<size_t>(Dim)]
                          : 0;
-    ln("        { int64_t IdxV = " + reg(Ops[1 + Dim]) + ".I[L];");
-    ln("          if (IdxV < 1 || IdxV > " + i2s(Extent) +
-       ") { InB = false; break; }");
-    ln("          Flat = Flat * " + i2s(Extent) + " + (IdxV - 1); }");
+    if (!E.empty())
+      E += " | ";
+    // IdxV < 1 || IdxV > Extent, as one unsigned compare.
+    if (Extent < 1)
+      E += "1";
+    else
+      E += "(uint64_t)((uint64_t)" + iv(Ops[1 + Dim]) +
+           " - 1 >= UINT64_C(" + i2s(Extent) + "))";
   }
-  ln("      } while (0);");
+  return E.empty() ? "0" : "(" + E + ")";
+}
+
+std::string Emitter::flatExpr(const SlotFacts &S, const int32_t *Ops,
+                              int32_t N) {
+  std::string E = "0";
+  for (int32_t Dim = 0; Dim < N; ++Dim) {
+    int64_t Extent = Dim < static_cast<int32_t>(S.Dims.size())
+                         ? S.Dims[static_cast<size_t>(Dim)]
+                         : 0;
+    std::string Idx = "(" + iv(Ops[1 + Dim]) + " - 1)";
+    E = Dim == 0 ? Idx : "(" + E + ") * " + i2s(Extent) + " + " + Idx;
+  }
+  return E;
+}
+
+std::string Emitter::commExpr(const SlotFacts &S, const int32_t *Ops) {
+  return "(sfLaneOf(" + iv(Ops[1]) + ", " + i2s(S.Dims[0]) + ") != L)";
+}
+
+void Emitter::emitUniform(int32_t R, const std::string &What,
+                          const std::string &Loc) {
+  std::string V0 = iv(R, "0");
+  if (Failed)
+    return;
+  ln("    const int64_t First = " + V0 + ";");
+  if (Cur[static_cast<size_t>(R)].HasConst)
+    return;
+  // An OR reduction decides; only the failing path collects lanes.
+  ln("    uint64_t Diff = 0;");
+  ln("    for (int64_t L = 0; L < SF_LANES; ++L) Diff |= (uint64_t)(" +
+     iv(R) + " != First);");
+  ln("    if (Diff) {");
+  ln("      NBad = 0;");
+  ln("      for (int64_t L = 0; L < SF_LANES; ++L)");
+  ln("        if (" + iv(R) + " != First) BadL[NBad++] = L;");
+  ln("      " +
+     trap(interp::TrapKind::NonUniformControl, Loc,
+          lit(What + " is not control-uniform across lanes; lane-varying "
+                     "control flow needs WHERE / WHILE ANY(...)"),
+          true));
+  ln("    }");
 }
 
 void Emitter::emitInstr(size_t PC, const Instr &I) {
   std::string Loc = i2s(I.Loc);
-  ln("L" + i2s(PC) + ": ;");
+  if (IsTarget[PC])
+    ln("L" + i2s(static_cast<int64_t>(PC)) + ":;");
+  if (I.Op == Opcode::MaskPop)
+    return; // the depth is static; popping is free
   ln("  {");
+  const std::string Lp = "    for (int64_t L = 0; L < SF_LANES; ++L) ";
   switch (I.Op) {
   case Opcode::LdInt:
-    ln("    SfReg &O = " + reg(I.A) + "; O.K = 0;");
-    ln("    for (int64_t L = 0; L < SF_LANES; ++L) O.I[L] = SfIntPool[" +
-       i2s(I.B) + "];");
-    break;
   case Opcode::LdReal:
-    ln("    SfReg &O = " + reg(I.A) + "; O.K = 1;");
-    ln("    for (int64_t L = 0; L < SF_LANES; ++L) O.R[L] = SfRealPool[" +
-       i2s(I.B) + "];");
-    break;
   case Opcode::LdBool:
-    ln("    SfReg &O = " + reg(I.A) + "; O.K = 2;");
-    ln("    for (int64_t L = 0; L < SF_LANES; ++L) O.I[L] = " +
-       i2s(I.B != 0 ? 1 : 0) + ";");
+  case Opcode::NumLanesOp: {
+    uint8_t K;
+    int64_t Bits;
+    if (validReg(I.A) && loadedConst(I, K, Bits))
+      ln(Lp + (K == KReal ? dstR(I.A) : dstI(I.A)) + "[L] = " +
+         literal(K, Bits) + ";");
     break;
+  }
   case Opcode::LdVar: {
-    const SlotFacts &S = Slots[static_cast<size_t>(I.B)];
-    if (S.IsArray) {
-      ln("    sfTrap(" + i2s(trapCode(interp::TrapKind::InvalidProgram)) +
-         ", " + Loc + ", \"whole-array reference to '" +
-         escapeString(S.Name) + "' outside a reduction\", nullptr, 0);");
+    const SlotFacts *S = slot(I.B);
+    if (!S || !validReg(I.A))
+      break;
+    if (S->IsArray) {
+      ln("    " + trap(interp::TrapKind::InvalidProgram, Loc,
+                       lit("whole-array reference to '" + S->Name +
+                           "' outside a reduction"),
+                       false));
       break;
     }
-    ln("    SfReg &O = " + reg(I.A) + "; O.K = " + i2s(S.Kind) + ";");
-    std::string Payload = S.IsReal ? "R" : "I";
-    std::string Src = "SL[" + i2s(I.B) + "]." + Payload;
-    if (S.Width == 1)
-      ln("    for (int64_t L = 0; L < SF_LANES; ++L) O." + Payload +
-         "[L] = " + Src + "[0];");
-    else
-      ln("    for (int64_t L = 0; L < SF_LANES; ++L) O." + Payload +
-         "[L] = " + Src + "[L];");
+    std::string Dst = S->IsReal ? dstR(I.A) : dstI(I.A);
+    std::string Src = "S" + i2s(I.B) + (S->Width == 1 ? "[0]" : "[L]");
+    ln(Lp + Dst + "[L] = " + Src + ";");
     break;
   }
   case Opcode::Gather: {
-    const SlotFacts &S = Slots[static_cast<size_t>(I.B)];
-    const int32_t *Ops = &EP.Extra[static_cast<size_t>(I.C)];
+    const SlotFacts *S = slot(I.B);
+    const int32_t *Ops = extra(I.C);
+    if (!S || !Ops || !validReg(I.A))
+      break;
     int32_t N = Ops[0];
-    std::string Payload = S.IsReal ? "R" : "I";
-    std::string Store = "SL[" + i2s(I.B) + "]." + Payload;
-    ln("    sfCharge(" + costExpr(CostKind::GatherOp) + ", " + Loc + ");");
-    ln("    SfReg &O = " + reg(I.A) + "; O.K = " + i2s(S.Kind) + ";");
-    ln("    for (int64_t L = 0; L < SF_LANES; ++L) O." + Payload +
-       "[L] = " + (S.IsReal ? "0.0" : "0") + ";");
-    ln("    NBad = 0;");
-    ln("    for (int64_t L = 0; L < SF_LANES; ++L) {");
-    emitFlatten(S, Ops, N);
-    ln("      if (!InB) {");
-    ln("        if (CM[L]) BadL[NBad++] = L;");
-    ln("        continue; // idle lane gathers garbage; leave 0");
+    std::string Dst = (S->IsReal ? dstR(I.A) : dstI(I.A)) + "[L]";
+    std::string Sp = "S" + i2s(I.B);
+    bool Comm = S->Distributed && !S->Dims.empty() && N >= 1;
+    std::string Oob = oobExpr(*S, Ops, N);
+    std::string Flat = flatExpr(*S, Ops, N);
+    charge(cost(CostKind::GatherOp), Loc);
+    // One bounds pass over every lane; the dense gather runs when no
+    // lane (active or idle) is out of bounds.
+    ln("    uint64_t Oob = 0;");
+    ln(Lp + "Oob |= " + Oob + ";");
+    ln("    if (!Oob) {");
+    ln("      for (int64_t L = 0; L < SF_LANES; ++L) {");
+    if (Comm)
+      ln("        Comm += (int64_t)(" + act() + " & " + commExpr(*S, Ops) +
+         ");");
+    ln("        " + Dst + " = " + Sp + "[" + Flat + "];");
     ln("      }");
-    if (S.Distributed && !S.Dims.empty()) {
-      ln("      if (CM[L]) {");
-      ln("        int64_t Dim0 = " + reg(Ops[1]) + ".I[L];");
-      ln("        if (sfLaneOf(Dim0, " + i2s(S.Dims[0]) +
-         ") != L) Comm += 1;");
-      ln("      }");
-    }
-    ln("      O." + Payload + "[L] = " + Store + "[Flat];");
+    ln("    } else {");
+    // The interpreter's sweep: idle out-of-bounds lanes read 0, active
+    // ones are the trap's lane set.
+    ln("      NBad = 0;");
+    ln("      for (int64_t L = 0; L < SF_LANES; ++L) {");
+    ln("        " + Dst + " = " + (S->IsReal ? "0.0" : "0") + ";");
+    ln("        if (" + Oob + ") {");
+    ln("          if (" + act() + ") BadL[NBad++] = L;");
+    ln("          continue;");
+    ln("        }");
+    if (Comm)
+      ln("        if (" + act() + " && " + commExpr(*S, Ops) +
+         ") Comm += 1;");
+    ln("        " + Dst + " = " + Sp + "[" + Flat + "];");
+    ln("      }");
+    ln("      if (NBad)");
+    ln("        " + trap(interp::TrapKind::OutOfBounds, Loc,
+                         lit("active lane(s) read out of bounds from '" +
+                             S->Name + "'"),
+                         true));
     ln("    }");
-    ln("    if (NBad)");
-    ln("      sfTrap(" + i2s(trapCode(interp::TrapKind::OutOfBounds)) +
-       ", " + Loc + ", \"active lane(s) read out of bounds from '" +
-       escapeString(S.Name) + "'\", BadL, NBad);");
     break;
   }
   case Opcode::StVar: {
-    const SlotFacts &S = Slots[static_cast<size_t>(I.A)];
-    std::string Payload = S.IsReal ? "R" : "I";
-    std::string Store = "SL[" + i2s(I.A) + "]." + Payload;
-    ln("    const SfReg &C = sfToKind(" + reg(I.B) + ", " + i2s(S.Kind) +
-       ", TA);");
-    ln("    sfCharge(" + costExpr(CostKind::MoveOp) + ", " + Loc + ");");
-    if (S.Width == 1) {
-      // Control variable: value must be uniform over active lanes.
+    const SlotFacts *S = slot(I.A);
+    if (!S)
+      break;
+    std::string Sp = "S" + i2s(I.A);
+    std::string V0 = asKind(I.B, S->Kind, "FirstActive");
+    std::string V = asKind(I.B, S->Kind);
+    charge(cost(CostKind::MoveOp), Loc);
+    if (S->Width == 1) {
+      // Control variable: the value must be uniform over active lanes.
       ln("    int64_t FirstActive = -1;");
-      ln("    for (int64_t L = 0; L < SF_LANES; ++L)");
-      ln("      if (CM[L]) { FirstActive = L; break; }");
+      ln(Lp + "if (" + act() + ") { FirstActive = L; break; }");
       ln("    if (FirstActive >= 0) {");
-      ln("      NBad = 0;");
-      ln("      auto Val = C." + Payload + "[FirstActive];");
+      ln(std::string("      const ") + (S->IsReal ? "double" : "int64_t") +
+         " Val = " + V0 + ";");
+      ln("      uint64_t Diff = 0;");
       ln("      for (int64_t L = FirstActive; L < SF_LANES; ++L)");
-      ln("        if (CM[L] && C." + Payload + "[L] != Val) BadL[NBad++] "
-         "= L;");
-      ln("      if (!NBad) " + Store + "[0] = Val;");
-      ln("      if (NBad)");
-      ln("        sfTrap(" +
-         i2s(trapCode(interp::TrapKind::NonUniformControl)) + ", " + Loc +
-         ", \"lane-varying store to control variable '" +
-         escapeString(S.Name) + "'\", BadL, NBad);");
+      ln("        Diff |= (uint64_t)(" + act() + " & (" + V + " != Val));");
+      ln("      if (Diff) {");
+      ln("        NBad = 0;");
+      ln("        for (int64_t L = FirstActive; L < SF_LANES; ++L)");
+      ln("          if (" + act() + " && " + V + " != Val) BadL[NBad++] = L;");
+      ln("        " + trap(interp::TrapKind::NonUniformControl, Loc,
+                           lit("lane-varying store to control variable '" +
+                               S->Name + "'"),
+                           true));
+      ln("      }");
+      ln("      " + Sp + "[0] = Val;");
       ln("    }");
     } else {
-      // Masked commit: idle lanes keep their old value (the blend).
-      ln("    for (int64_t L = 0; L < SF_LANES; ++L)");
-      ln("      if (CM[L]) " + Store + "[L] = C." + Payload + "[L];");
+      // Masked commit as a blend: idle lanes are rewritten with their
+      // own bits (a select moves bits, so -0.0 and NaN payloads stay).
+      // At depth 0 the mask is the literal 1 and this folds to a store.
+      ln(Lp + Sp + "[L] = " + act() + " ? " + V + " : " + Sp + "[L];");
     }
-    ln("    if (Ctx->SlotWork[" + i2s(I.A) + "]) { sfSync(); "
-       "Ctx->WorkStep(Ctx->Host, CM); }");
+    ln("    if (W" + i2s(I.A) + ") sfWork(" + maskPtr() + ");");
     break;
   }
   case Opcode::StArr: {
-    const SlotFacts &S = Slots[static_cast<size_t>(I.A)];
-    const int32_t *Ops = &EP.Extra[static_cast<size_t>(I.C)];
+    const SlotFacts *S = slot(I.A);
+    const int32_t *Ops = extra(I.C);
+    if (!S || !Ops)
+      break;
     int32_t N = Ops[0];
-    std::string Payload = S.IsReal ? "R" : "I";
-    std::string Store = "SL[" + i2s(I.A) + "]." + Payload;
-    ln("    const SfReg &C = sfToKind(" + reg(I.B) + ", " + i2s(S.Kind) +
-       ", TA);");
-    ln("    sfCharge(" + costExpr(CostKind::ScatterOp) + ", " + Loc +
-       ");");
-    // Validate every active lane before committing any store: a scatter
-    // with a faulting lane must not half-commit.
-    ln("    for (int64_t L = 0; L < SF_LANES; ++L) Flats[L] = -1;");
-    ln("    NBad = 0;");
-    ln("    for (int64_t L = 0; L < SF_LANES; ++L) {");
-    ln("      if (!CM[L]) continue;");
-    emitFlatten(S, Ops, N);
-    ln("      if (!InB) { BadL[NBad++] = L; continue; }");
-    ln("      Flats[L] = Flat;");
+    std::string Sp = "S" + i2s(I.A);
+    std::string V = asKind(I.B, S->Kind);
+    std::string Oob = oobExpr(*S, Ops, N);
+    std::string Flat = flatExpr(*S, Ops, N);
+    charge(cost(CostKind::ScatterOp), Loc);
+    // Validate every active lane before committing any store: a
+    // scatter with a faulting lane must not half-commit.
+    ln("    uint64_t Oob = 0;");
+    ln(Lp + "Oob |= (uint64_t)" + act() + " & " + Oob + ";");
+    ln("    if (Oob) {");
+    ln("      NBad = 0;");
+    ln("      for (int64_t L = 0; L < SF_LANES; ++L)");
+    ln("        if (" + act() + " && " + Oob + ") BadL[NBad++] = L;");
+    ln("      " + trap(interp::TrapKind::OutOfBounds, Loc,
+                       lit("active lane(s) write out of bounds to '" +
+                           S->Name + "'"),
+                       true));
     ln("    }");
-    ln("    if (NBad)");
-    ln("      sfTrap(" + i2s(trapCode(interp::TrapKind::OutOfBounds)) +
-       ", " + Loc + ", \"active lane(s) write out of bounds to '" +
-       escapeString(S.Name) + "'\", BadL, NBad);");
+    // In lane order: of two active lanes hitting one element, the
+    // later lane's value stays.
     ln("    for (int64_t L = 0; L < SF_LANES; ++L) {");
-    ln("      if (!CM[L]) continue;");
-    if (S.Distributed && !S.Dims.empty()) {
-      ln("      { int64_t Dim0 = " + reg(Ops[1]) + ".I[L];");
-      ln("        if (sfLaneOf(Dim0, " + i2s(S.Dims[0]) +
-         ") != L) Comm += 1; }");
-    }
-    ln("      " + Store + "[Flats[L]] = C." + Payload + "[L];");
+    ln("      if (!" + act() + ") continue;");
+    if (S->Distributed && !S->Dims.empty() && N >= 1)
+      ln("      Comm += (int64_t)" + commExpr(*S, Ops) + ";");
+    ln("      " + Sp + "[" + Flat + "] = " + V + ";");
     ln("    }");
-    ln("    if (Ctx->SlotWork[" + i2s(I.A) + "]) { sfSync(); "
-       "Ctx->WorkStep(Ctx->Host, CM); }");
+    ln("    if (W" + i2s(I.A) + ") sfWork(" + maskPtr() + ");");
     break;
   }
-  case Opcode::SetIdx:
-    ln("    SfSlot &S = SL[" + i2s(I.A) + "];");
-    ln("    for (int64_t K2 = 0; K2 < S.Width; ++K2) S.I[K2] = Ctl[" +
-       i2s(I.B) + "];");
+  case Opcode::SetIdx: {
+    const SlotFacts *S = slot(I.A);
+    if (!S)
+      break;
+    if (S->IsReal) {
+      Failed = true;
+      break;
+    }
+    ln("    for (int64_t K2 = 0; K2 < " + i2s(S->Width) + "; ++K2) S" +
+       i2s(I.A) + "[K2] = Ctl[" + i2s(I.B) + "];");
     break;
+  }
   case Opcode::Neg:
-    ln("    const SfReg &V = " + reg(I.B) + ";");
-    ln("    sfCharge(V.K == 1 ? " + costExpr(CostKind::RealOp) + " : " +
-       costExpr(CostKind::IntOp) + ", " + Loc + ");");
-    ln("    SfReg &O = " + reg(I.A) + ";");
-    ln("    if (V.K == 1) {");
-    ln("      O.K = 1;");
-    ln("      for (int64_t L = 0; L < SF_LANES; ++L) O.R[L] = -V.R[L];");
-    ln("    } else {");
-    ln("      O.K = V.K;");
-    ln("      for (int64_t L = 0; L < SF_LANES; ++L) O.I[L] = -V.I[L];");
-    ln("    }");
+  case Opcode::AbsOp: {
+    bool IsAbs = I.Op == Opcode::AbsOp;
+    uint8_t K = kindOf(I.B);
+    if (Failed || !validReg(I.A))
+      break;
+    charge(cost(K == KReal ? CostKind::RealOp : CostKind::IntOp), Loc);
+    if (K == KReal)
+      ln(Lp + dstR(I.A) + "[L] = " + (IsAbs ? "std::fabs(" : "-(") +
+         rv(I.B) + ");");
+    else
+      ln(Lp + dstI(I.A) + "[L] = " + (IsAbs ? "std::llabs(" : "-(") +
+         iv(I.B) + ");");
     break;
+  }
   case Opcode::NotOp:
-    ln("    sfCharge(" + costExpr(CostKind::LogicOp) + ", " + Loc + ");");
-    ln("    const SfReg &V = " + reg(I.B) + ";");
-    ln("    SfReg &O = " + reg(I.A) + "; O.K = V.K;");
-    ln("    for (int64_t L = 0; L < SF_LANES; ++L) O.I[L] = !V.I[L];");
+    if (!validReg(I.A))
+      break;
+    charge(cost(CostKind::LogicOp), Loc);
+    ln(Lp + dstI(I.A) + "[L] = !" + iv(I.B) + ";");
     break;
   case Opcode::AndOp:
-  case Opcode::OrOp: {
-    const char *Op = I.Op == Opcode::AndOp ? "&&" : "||";
-    ln("    sfCharge(" + costExpr(CostKind::LogicOp) + ", " + Loc + ");");
-    ln("    const SfReg &Lh = " + reg(I.B) + ", &Rh = " + reg(I.C) + ";");
-    ln("    SfReg &O = " + reg(I.A) + "; O.K = 2;");
-    ln(std::string("    for (int64_t L = 0; L < SF_LANES; ++L) O.I[L] = "
-                   "Lh.I[L] ") +
-       Op + " Rh.I[L];");
+  case Opcode::OrOp:
+    if (!validReg(I.A))
+      break;
+    charge(cost(CostKind::LogicOp), Loc);
+    ln(Lp + dstI(I.A) + "[L] = (int64_t)((" + iv(I.B) + " != 0) " +
+       (I.Op == Opcode::AndOp ? "&" : "|") + " (" + iv(I.C) + " != 0));");
     break;
-  }
   case Opcode::CmpEq:
   case Opcode::CmpNe:
   case Opcode::CmpLt:
@@ -601,15 +877,13 @@ void Emitter::emitInstr(size_t PC, const Instr &I) {
                      : I.Op == Opcode::CmpLe ? "<="
                      : I.Op == Opcode::CmpGt ? ">"
                                              : ">=";
-    ln("    sfCharge(" + costExpr(CostKind::CmpOp) + ", " + Loc + ");");
+    if (!validReg(I.A))
+      break;
+    charge(cost(CostKind::CmpOp), Loc);
     // Comparisons evaluate through double on every lane (the tree
     // walker's rule, int operands included).
-    ln("    const SfReg &Lh = sfToReal(" + reg(I.B) + ", TA);");
-    ln("    const SfReg &Rh = sfToReal(" + reg(I.C) + ", TB);");
-    ln("    SfReg &O = " + reg(I.A) + "; O.K = 2;");
-    ln(std::string("    for (int64_t L = 0; L < SF_LANES; ++L) O.I[L] = "
-                   "Lh.R[L] ") +
-       Op + " Rh.R[L];");
+    ln(Lp + dstI(I.A) + "[L] = " + rv(I.B) + " " + Op + " " + rv(I.C) +
+       ";");
     break;
   }
   case Opcode::AddI:
@@ -618,286 +892,269 @@ void Emitter::emitInstr(size_t PC, const Instr &I) {
     const char *Op = I.Op == Opcode::AddI   ? "+"
                      : I.Op == Opcode::SubI ? "-"
                                             : "*";
-    ln("    sfCharge(" + costExpr(CostKind::IntOp) + ", " + Loc + ");");
-    ln("    const SfReg &Lh = " + reg(I.B) + ", &Rh = " + reg(I.C) + ";");
-    ln("    SfReg &O = " + reg(I.A) + "; O.K = 0;");
-    ln(std::string("    for (int64_t L = 0; L < SF_LANES; ++L) O.I[L] = "
-                   "Lh.I[L] ") +
-       Op + " Rh.I[L];");
+    if (!validReg(I.A))
+      break;
+    charge(cost(CostKind::IntOp), Loc);
+    ln(Lp + dstI(I.A) + "[L] = " + iv(I.B) + " " + Op + " " + iv(I.C) +
+       ";");
     break;
   }
   case Opcode::DivI:
   case Opcode::ModI: {
-    bool IsMod = I.Op == Opcode::ModI;
-    ln("    sfCharge(" + costExpr(CostKind::IntOp) + ", " + Loc + ");");
-    ln("    const SfReg &Lh = " + reg(I.B) + ", &Rh = " + reg(I.C) + ";");
-    ln("    SfReg &O = " + reg(I.A) + "; O.K = 0;");
+    const char *Op = I.Op == Opcode::ModI ? " % " : " / ";
+    if (!validReg(I.A))
+      break;
+    std::string Lh = iv(I.B), Rh = iv(I.C);
+    if (Failed)
+      break;
+    charge(cost(CostKind::IntOp), Loc);
+    std::string Dst = dstI(I.A) + "[L]";
+    const RegFact &D = Cur[static_cast<size_t>(I.C)];
+    if (D.HasConst && D.Bits != 0 && D.Bits != -1) {
+      // A literal divisor can be neither zero nor the overflowing -1.
+      ln(Lp + Dst + " = " + Lh + Op + Rh + ";");
+      break;
+    }
+    // Division by zero on an idle lane is a don't-care (0); active
+    // lanes dividing by zero trap.
     ln("    NBad = 0;");
     ln("    for (int64_t L = 0; L < SF_LANES; ++L) {");
-    ln("      int64_t RV = Rh.I[L];");
-    // Division by zero on an idle lane is a don't-care; active lanes
-    // dividing by zero trap.
-    ln("      if (RV == 0) {");
-    ln("        if (CM[L]) BadL[NBad++] = L;");
-    ln("        O.I[L] = 0;");
+    ln("      if (" + Rh + " == 0) {");
+    ln("        if (" + act() + ") BadL[NBad++] = L;");
+    ln("        " + Dst + " = 0;");
     ln("      } else {");
-    ln(std::string("        O.I[L] = Lh.I[L] ") + (IsMod ? "%" : "/") +
-       " RV;");
+    ln("        " + Dst + " = " + Lh + Op + Rh + ";");
     ln("      }");
     ln("    }");
     ln("    if (NBad)");
-    ln("      sfTrap(" + i2s(trapCode(interp::TrapKind::DivByZero)) +
-       ", " + Loc + ", \"" + (IsMod ? "MOD" : "division") +
-       " by zero on active lane(s)\", BadL, NBad);");
+    ln("      " +
+       trap(interp::TrapKind::DivByZero, Loc,
+            lit(std::string(I.Op == Opcode::ModI ? "MOD" : "division") +
+                " by zero on active lane(s)"),
+            true));
     break;
   }
   case Opcode::AddR:
   case Opcode::SubR:
   case Opcode::MulR:
   case Opcode::DivR: {
-    ln("    sfCharge(" + costExpr(CostKind::RealOp) + ", " + Loc + ");");
-    ln("    const SfReg &Lh = sfToReal(" + reg(I.B) + ", TA);");
-    ln("    const SfReg &Rh = sfToReal(" + reg(I.C) + ", TB);");
-    ln("    SfReg &O = " + reg(I.A) + "; O.K = 1;");
+    if (!validReg(I.A))
+      break;
+    std::string Lh = rv(I.B), Rh = rv(I.C);
+    charge(cost(CostKind::RealOp), Loc);
+    std::string Dst = dstR(I.A) + "[L]";
     if (I.Op == Opcode::DivR)
       // The guarded divide: a zero divisor yields 0.0 (tree behavior).
-      ln("    for (int64_t L = 0; L < SF_LANES; ++L) O.R[L] = "
-         "Rh.R[L] == 0.0 ? 0.0 : Lh.R[L] / Rh.R[L];");
-    else {
-      const char *Op = I.Op == Opcode::AddR   ? "+"
-                       : I.Op == Opcode::SubR ? "-"
-                                              : "*";
-      ln(std::string("    for (int64_t L = 0; L < SF_LANES; ++L) O.R[L] "
-                     "= Lh.R[L] ") +
-         Op + " Rh.R[L];");
-    }
+      ln(Lp + Dst + " = " + Rh + " == 0.0 ? 0.0 : " + Lh + " / " + Rh +
+         ";");
+    else
+      ln(Lp + Dst + " = " + Lh +
+         (I.Op == Opcode::AddR   ? " + "
+          : I.Op == Opcode::SubR ? " - "
+                                 : " * ") +
+         Rh + ";");
     break;
   }
   case Opcode::MaxMin: {
     bool IsMax = (I.D & 1) != 0;
     int K = I.D >> 1;
-    bool Real = K == 1;
-    std::string Fn = IsMax ? "std::max" : "std::min";
-    ln("    const SfReg &Lh = sfToKind(" + reg(I.B) + ", " + i2s(K) +
-       ", TA);");
-    ln("    const SfReg &Rh = sfToKind(" + reg(I.C) + ", " + i2s(K) +
-       ", TB);");
-    ln("    sfCharge(" +
-       costExpr(Real ? CostKind::RealOp : CostKind::IntOp) + ", " + Loc +
-       ");");
-    ln("    SfReg &O = " + reg(I.A) + "; O.K = " + i2s(K) + ";");
-    std::string P = Real ? "R" : "I";
-    ln("    for (int64_t L = 0; L < SF_LANES; ++L) O." + P + "[L] = " +
-       Fn + "(Lh." + P + "[L], Rh." + P + "[L]);");
+    if (!validReg(I.A) || K < 0 || K > KBool) {
+      Failed = true;
+      break;
+    }
+    std::string A = asKind(I.B, K), B = asKind(I.C, K);
+    charge(cost(K == KReal ? CostKind::RealOp : CostKind::IntOp), Loc);
+    std::string Dst = (K == KReal ? dstR(I.A) : dstI(I.A)) + "[L]";
+    // The comparisons std::max / std::min make, so NaN and signed-zero
+    // operands pick the same side.
+    if (IsMax)
+      ln(Lp + Dst + " = (" + A + " < " + B + ") ? " + B + " : " + A + ";");
+    else
+      ln(Lp + Dst + " = (" + B + " < " + A + ") ? " + B + " : " + A + ";");
     break;
   }
-  case Opcode::AbsOp:
-    ln("    const SfReg &V = " + reg(I.B) + ";");
-    ln("    sfCharge(V.K == 1 ? " + costExpr(CostKind::RealOp) + " : " +
-       costExpr(CostKind::IntOp) + ", " + Loc + ");");
-    ln("    SfReg &O = " + reg(I.A) + ";");
-    ln("    if (V.K == 1) {");
-    ln("      O.K = 1;");
-    ln("      for (int64_t L = 0; L < SF_LANES; ++L) O.R[L] = "
-       "std::fabs(V.R[L]);");
-    ln("    } else {");
-    ln("      O.K = V.K;");
-    ln("      for (int64_t L = 0; L < SF_LANES; ++L) O.I[L] = "
-       "std::llabs(V.I[L]);");
-    ln("    }");
-    break;
-  case Opcode::SqrtOp:
-    ln("    sfCharge(" + costExpr(CostKind::RealOp) + ", " + Loc + ");");
-    ln("    const SfReg &V = " + reg(I.B) + ";");
-    ln("    SfReg &O = " + reg(I.A) + "; O.K = 1;");
-    ln("    bool AnyNeg = false;");
-    ln("    for (int64_t L = 0; L < SF_LANES; ++L)");
-    ln("      if (V.R[L] < 0.0) AnyNeg = true;");
+  case Opcode::SqrtOp: {
+    if (!validReg(I.A))
+      break;
+    if (kindOf(I.B) != KReal) {
+      Failed = true;
+      break;
+    }
+    std::string V = rv(I.B), Dst = dstR(I.A) + "[L]";
+    charge(cost(CostKind::RealOp), Loc);
+    ln("    uint64_t AnyNeg = 0;");
+    ln(Lp + "AnyNeg |= (uint64_t)(" + V + " < 0.0);");
     ln("    if (AnyNeg) {");
     // Idle negative lanes produce the defined-away 0.0 without
     // trapping; active ones collect into the fault set.
     ln("      NBad = 0;");
     ln("      for (int64_t L = 0; L < SF_LANES; ++L) {");
-    ln("        if (V.R[L] < 0.0 && CM[L]) BadL[NBad++] = L;");
-    ln("        O.R[L] = V.R[L] < 0.0 ? 0.0 : std::sqrt(V.R[L]);");
+    ln("        if (" + V + " < 0.0 && " + act() + ") BadL[NBad++] = L;");
+    ln("        " + Dst + " = " + V + " < 0.0 ? 0.0 : std::sqrt(" + V +
+       ");");
     ln("      }");
     ln("      if (NBad)");
-    ln("        sfTrap(" + i2s(trapCode(interp::TrapKind::DomainError)) +
-       ", " + Loc +
-       ", \"SQRT of a negative on active lane(s)\", BadL, NBad);");
+    ln("        " + trap(interp::TrapKind::DomainError, Loc,
+                         lit("SQRT of a negative on active lane(s)"), true));
     ln("    } else {");
-    ln("      for (int64_t L = 0; L < SF_LANES; ++L) O.R[L] = "
-       "std::sqrt(V.R[L]);");
+    ln("  " + Lp + Dst + " = std::sqrt(" + V + ");");
     ln("    }");
     break;
+  }
   case Opcode::LaneIdx:
-    ln("    SfReg &O = " + reg(I.A) + "; O.K = 0;");
-    ln("    for (int64_t L = 0; L < SF_LANES; ++L) O.I[L] = L + 1;");
-    break;
-  case Opcode::NumLanesOp:
-    ln("    SfReg &O = " + reg(I.A) + "; O.K = 0;");
-    ln("    for (int64_t L = 0; L < SF_LANES; ++L) O.I[L] = SF_LANES;");
+    if (validReg(I.A))
+      ln(Lp + dstI(I.A) + "[L] = L + 1;");
     break;
   case Opcode::AnyAll: {
     bool IsAll = I.D != 0;
-    ln("    sfCharge(" + costExpr(CostKind::ReduceOp) + ", " + Loc +
-       ");");
-    ln("    const SfReg &V = " + reg(I.B) + ";");
-    ln("    bool Acc = " + std::string(IsAll ? "true" : "false") + ";");
-    ln("    for (int64_t L = 0; L < SF_LANES; ++L) {");
-    ln("      if (!CM[L]) continue;");
-    ln("      bool B = V.I[L] != 0;");
-    ln(std::string("      Acc = ") +
-       (IsAll ? "Acc && B" : "Acc || B") + ";");
-    ln("    }");
-    ln("    SfReg &O = " + reg(I.A) + "; O.K = 2;");
-    ln("    for (int64_t L = 0; L < SF_LANES; ++L) O.I[L] = Acc ? 1 : "
-       "0;");
+    if (!validReg(I.A))
+      break;
+    charge(cost(CostKind::ReduceOp), Loc);
+    // ANY ORs active true lanes; ALL ORs active false lanes and negates.
+    ln("    uint64_t Hit = 0;");
+    ln(Lp + "Hit |= (uint64_t)" + act() + " & (uint64_t)(" + iv(I.B) +
+       (IsAll ? " == 0);" : " != 0);"));
+    ln(Lp + dstI(I.A) + "[L] = " + (IsAll ? "Hit == 0" : "Hit != 0") +
+       ";");
     break;
   }
   case Opcode::LaneRed: {
     bool IsMax = I.D == 0, IsMin = I.D == 1;
-    ln("    sfCharge(" + costExpr(CostKind::ReduceOp) + ", " + Loc +
-       ");");
-    ln("    const SfReg &V = " + reg(I.B) + ";");
+    uint8_t K = kindOf(I.B);
+    if (Failed || !validReg(I.A))
+      break;
+    bool Real = K == KReal;
+    charge(cost(CostKind::ReduceOp), Loc);
     if (IsMax || IsMin) {
-      ln("    { int64_t NAct = 0;");
-      ln("      for (int64_t L = 0; L < SF_LANES; ++L) NAct += CM[L] != "
-         "0;");
-      ln("      if (NAct == 0)");
-      ln("        sfTrap(" + i2s(trapCode(interp::TrapKind::DomainError)) +
-         ", " + Loc + ", \"" + (IsMax ? "MAXRED" : "MINRED") +
-         " with no active lanes\", nullptr, 0); }");
+      ln("    uint64_t AnyAct = 0;");
+      ln(Lp + "AnyAct |= " + act() + ";");
+      ln("    if (!AnyAct)");
+      ln("      " + trap(interp::TrapKind::DomainError, Loc,
+                         lit(std::string(IsMax ? "MAXRED" : "MINRED") +
+                             " with no active lanes"),
+                         false));
     }
-    std::string CombR = IsMax   ? "Acc = std::max(Acc, V.R[L]);"
-                        : IsMin ? "Acc = std::min(Acc, V.R[L]);"
-                                : "Acc = Acc + V.R[L];";
-    std::string CombI = IsMax   ? "Acc = std::max(Acc, V.I[L]);"
-                        : IsMin ? "Acc = std::min(Acc, V.I[L]);"
-                                : "Acc = Acc + V.I[L];";
-    std::string InitR = IsMax
-                            ? "-std::numeric_limits<double>::infinity()"
-                        : IsMin
-                            ? "std::numeric_limits<double>::infinity()"
-                            : "0.0";
-    std::string InitI = IsMax   ? "std::numeric_limits<int64_t>::min()"
-                        : IsMin ? "std::numeric_limits<int64_t>::max()"
-                                : "INT64_C(0)";
-    ln("    SfReg &O = " + reg(I.A) + ";");
+    std::string V = Real ? rv(I.B) : iv(I.B);
+    std::string Init = IsMax ? (Real ? realLiteral(-HUGE_VAL) : "INT64_MIN")
+                       : IsMin ? (Real ? realLiteral(HUGE_VAL) : "INT64_MAX")
+                       : (Real ? "0.0" : "INT64_C(0)");
+    std::string Comb = IsMax   ? "(Acc < X) ? X : Acc"
+                       : IsMin ? "(X < Acc) ? X : Acc"
+                               : "Acc + X";
     // Masked, in lane order: SUM must accumulate left to right for FP
     // bit-identity across engines.
-    ln("    if (V.K == 1) {");
-    ln("      double Acc = " + InitR + ";");
-    ln("      for (int64_t L = 0; L < SF_LANES; ++L)");
-    ln("        if (CM[L]) { " + CombR + " }");
-    ln("      O.K = 1;");
-    ln("      for (int64_t L = 0; L < SF_LANES; ++L) O.R[L] = Acc;");
-    ln("    } else {");
-    ln("      int64_t Acc = " + InitI + ";");
-    ln("      for (int64_t L = 0; L < SF_LANES; ++L)");
-    ln("        if (CM[L]) { " + CombI + " }");
-    ln("      O.K = 0;");
-    ln("      for (int64_t L = 0; L < SF_LANES; ++L) O.I[L] = Acc;");
+    ln(std::string("    ") + (Real ? "double" : "int64_t") + " Acc = " +
+       Init + ";");
+    ln("    for (int64_t L = 0; L < SF_LANES; ++L) {");
+    ln(std::string("      const ") + (Real ? "double" : "int64_t") +
+       " X = " + V + ";");
+    ln("      Acc = " + act() + " ? " + Comb + " : Acc;");
     ln("    }");
+    ln(Lp + (Real ? dstR(I.A) : dstI(I.A)) + "[L] = Acc;");
     break;
   }
   case Opcode::ArrRed: {
-    const SlotFacts &S = Slots[static_cast<size_t>(I.B)];
+    const SlotFacts *S = slot(I.B);
+    if (!S || !validReg(I.A))
+      break;
     bool IsSum = I.D == 1;
-    int64_t Layers = Machine.layersFor(S.Width);
-    ln("    sfCharge(" + costExpr(CostKind::ReduceOp) + " * " +
-       i2s(Layers) + ".0, " + Loc + ");");
-    ln("    SfReg &O = " + reg(I.A) + ";");
-    if (S.IsReal) {
-      ln("    double Acc = " +
-         std::string(
-             IsSum ? "0.0" : "-std::numeric_limits<double>::infinity()") +
-         ";");
-      ln("    for (int64_t K2 = 0; K2 < " + i2s(S.Width) + "; ++K2) {");
-      ln("      double X = SL[" + i2s(I.B) + "].R[K2];");
-      ln(std::string("      Acc = ") +
-         (IsSum ? "Acc + X" : "std::max(Acc, X)") + ";");
-      ln("    }");
-      ln("    O.K = 1;");
-      ln("    for (int64_t L = 0; L < SF_LANES; ++L) O.R[L] = Acc;");
-    } else {
-      ln("    int64_t Acc = " +
-         std::string(IsSum ? "INT64_C(0)"
-                           : "std::numeric_limits<int64_t>::min()") +
-         ";");
-      ln("    for (int64_t K2 = 0; K2 < " + i2s(S.Width) + "; ++K2) {");
-      ln("      int64_t X = SL[" + i2s(I.B) + "].I[K2];");
-      ln(std::string("      Acc = ") +
-         (IsSum ? "Acc + X" : "std::max(Acc, X)") + ";");
-      ln("    }");
-      ln("    O.K = 0;");
-      ln("    for (int64_t L = 0; L < SF_LANES; ++L) O.I[L] = Acc;");
-    }
+    int64_t Layers = Machine.layersFor(S->Width);
+    charge(cost(CostKind::ReduceOp) + " * " + i2s(Layers) + ".0", Loc);
+    std::string T = S->IsReal ? "double" : "int64_t";
+    std::string Init = IsSum ? (S->IsReal ? "0.0" : "INT64_C(0)")
+                             : (S->IsReal ? realLiteral(-HUGE_VAL)
+                                          : "INT64_MIN");
+    ln("    " + T + " Acc = " + Init + ";");
+    ln("    for (int64_t K2 = 0; K2 < " + i2s(S->Width) + "; ++K2) {");
+    ln("      const " + T + " X = S" + i2s(I.B) + "[K2];");
+    ln(std::string("      Acc = ") +
+       (IsSum ? "Acc + X" : "(Acc < X) ? X : Acc") + ";");
+    ln("    }");
+    ln(Lp + (S->IsReal ? dstR(I.A) : dstI(I.A)) + "[L] = Acc;");
     break;
   }
   case Opcode::CallCheck: {
-    std::string Callee =
-        escapeString(EP.Callees[static_cast<size_t>(I.B)]);
+    if (I.B < 0 || static_cast<size_t>(I.B) >= EP.Callees.size()) {
+      Failed = true;
+      break;
+    }
+    const std::string &Callee = EP.Callees[static_cast<size_t>(I.B)];
     ln("    if (!Ctx->HasExterns)");
-    ln("      sfTrap(" + i2s(trapCode(interp::TrapKind::ExternFailure)) +
-       ", " + Loc + ", \"no extern registry for call to '" + Callee +
-       "'\", nullptr, 0);");
+    ln("      " + trap(interp::TrapKind::ExternFailure, Loc,
+                       lit("no extern registry for call to '" + Callee +
+                           "'"),
+                       false));
     ln("    if (!Ctx->CalleeBound[" + i2s(I.B) + "])");
-    ln("      sfTrap(" + i2s(trapCode(interp::TrapKind::ExternFailure)) +
-       ", " + Loc + ", \"unbound extern '" + Callee + "'\", nullptr, "
-       "0);");
+    ln("      " + trap(interp::TrapKind::ExternFailure, Loc,
+                       lit("unbound extern '" + Callee + "'"), false));
     break;
   }
   case Opcode::CallOp: {
-    const int32_t *Ops = &EP.Extra[static_cast<size_t>(I.C)];
+    const int32_t *Ops = extra(I.C);
+    if (!Ops || I.B < 0 || static_cast<size_t>(I.B) >= EP.Callees.size() ||
+        (I.A >= 0 && !validReg(I.A))) {
+      Failed = true;
+      break;
+    }
     int32_t N = Ops[0];
     int RetKind = I.D;
-    bool RetReal = RetKind == 1;
-    ln("    sfCharge(Ctx->CalleeCosts[" + i2s(I.B) + "], " + Loc + ");");
-    ln("    if (Ctx->CalleeWork[" + i2s(I.B) + "]) { sfSync(); "
-       "Ctx->WorkStep(Ctx->Host, CM); }");
-    // Result register never aliases the argument registers; a
-    // result-less call statement writes the discarded TA scratch.
-    ln("    SfReg &O = " + (I.A >= 0 ? reg(I.A) : std::string("TA")) +
-       ";");
-    ln("    O.K = " + i2s(RetKind) + ";");
-    ln("    for (int64_t L = 0; L < SF_LANES; ++L) O." +
-       std::string(RetReal ? "R[L] = 0.0" : "I[L] = 0") + ";");
-    ln("    for (int64_t L = 0; L < SF_LANES; ++L) {");
-    ln("      if (!CM[L]) continue;");
+    HasCalls = true;
+    if (N > MaxArgs)
+      MaxArgs = N;
+    charge("Ctx->CalleeCosts[" + i2s(I.B) + "]", Loc);
+    ln("    if (Ctx->CalleeWork[" + i2s(I.B) + "]) sfWork(" + maskPtr() +
+       ");");
+    // Arguments go through the escaping argument buffers, so the
+    // register arrays themselves never leave this frame.
+    std::string Kinds, Ptrs;
     for (int32_t A = 0; A < N; ++A) {
-      std::string R = reg(Ops[1 + A]);
-      ln("      ArgK[" + i2s(A) + "] = " + R + ".K;");
-      ln("      ArgI[" + i2s(A) + "] = " + R + ".I[L];");
-      ln("      ArgR[" + i2s(A) + "] = " + R + ".R[L];");
+      int32_t R = Ops[1 + A];
+      uint8_t K = kindOf(R);
+      if (Failed)
+        break;
+      std::string Buf = std::string(K == KReal ? "SfArgR" : "SfArgI") +
+                        " + " + i2s(A * Lanes);
+      ln(Lp + "(" + Buf + ")[L] = " + (K == KReal ? rv(R) : iv(R)) + ";");
+      Kinds += i2s(K) + ", ";
+      Ptrs += Buf + ", ";
     }
-    ln("      int64_t RetI = 0; double RetR = 0.0;");
-    ln("      sfSync();");
-    ln("      Ctx->CallLane(Ctx->Host, " + i2s(I.B) + ", L, " + Loc +
-       ", " + i2s(N) + ", ArgK, ArgI, ArgR, &RetI, &RetR);");
-    if (RetReal)
-      ln("      O.R[L] = RetR;");
-    else
-      ln("      O.I[L] = RetI;");
-    ln("    }");
+    if (Failed)
+      break;
+    ln("    static const int8_t Kinds[] = {" + Kinds + "0};");
+    ln("    const void *const Args[] = {" + Ptrs + "nullptr};");
+    // The callback gets a copy of the mask: the levels never escape.
+    ln("    std::memcpy(MaskX, " + maskPtr() + ", SF_LANES);");
+    ln("    sfSync();");
+    std::string Ret =
+        I.A < 0 ? "nullptr" : (RetKind == KReal ? "SfRetR" : "SfRetI");
+    ln("    Ctx->CallVec(Ctx->Host, " + i2s(I.B) + ", " + Loc +
+       ", MaskX, " + i2s(N) + ", Kinds, Args, " + i2s(RetKind) + ", " +
+       Ret + ");");
+    if (I.A >= 0)
+      ln(Lp + (RetKind == KReal ? dstR(I.A) : dstI(I.A)) + "[L] = " + Ret +
+         "[L];");
     break;
   }
   case Opcode::Jmp:
     ln("    goto L" + i2s(I.D) + ";");
     break;
   case Opcode::UBrFalse:
-    ln("    if (sfUniform(" + reg(I.A) + ", " + msg(I.B) + ", " + Loc +
-       ") == 0)");
+    emitUniform(I.A, msg(I.B), Loc);
+    ln("    if (First == 0)");
     ln("      goto L" + i2s(I.D) + ";");
     break;
   case Opcode::ChargeOp:
-    ln("    sfCharge(Costs[" + i2s(I.A) + "], " + Loc + ");");
+    if (I.A < 0 || I.A > static_cast<int32_t>(CostKind::LoopOverhead)) {
+      Failed = true;
+      break;
+    }
+    charge(cost(static_cast<CostKind>(I.A)), Loc);
     break;
   case Opcode::LoopIter:
     ln("    sfLoopIter(" + Loc + ");");
     break;
   case Opcode::TrapMsg:
-    ln("    sfTrap(" + i2s(I.A) + ", " + Loc + ", " + msg(I.B) +
+    ln("    sfTrap(" + i2s(I.A) + ", " + Loc + ", " + lit(msg(I.B)) +
        ", nullptr, 0);");
     break;
   case Opcode::Halt:
@@ -905,16 +1162,21 @@ void Emitter::emitInstr(size_t PC, const Instr &I) {
     ln("    return 0;");
     break;
   case Opcode::CtlFromReg:
-    ln("    Ctl[" + i2s(I.A) + "] = sfUniform(" + reg(I.B) + ", " +
-       msg(I.C) + ", " + Loc + ");");
+    emitUniform(I.B, msg(I.C), Loc);
+    ln("    Ctl[" + i2s(I.A) + "] = First;");
     break;
   case Opcode::CtlImm:
-    ln("    Ctl[" + i2s(I.A) + "] = SfIntPool[" + i2s(I.B) + "];");
+    if (I.B < 0 || static_cast<size_t>(I.B) >= EP.IntPool.size()) {
+      Failed = true;
+      break;
+    }
+    ln("    Ctl[" + i2s(I.A) + "] = " +
+       intLiteral(EP.IntPool[static_cast<size_t>(I.B)]) + ";");
     break;
   case Opcode::CheckStep:
     ln("    if (Ctl[" + i2s(I.A) + "] == 0)");
-    ln("      sfTrap(" + i2s(trapCode(interp::TrapKind::InvalidProgram)) +
-       ", " + Loc + ", " + msg(I.B) + ", nullptr, 0);");
+    ln("      " + trap(interp::TrapKind::InvalidProgram, Loc, lit(msg(I.B)),
+                       false));
     break;
   case Opcode::CtlInc:
     ln("    Ctl[" + i2s(I.A) + "] += 1;");
@@ -933,11 +1195,14 @@ void Emitter::emitInstr(size_t PC, const Instr &I) {
     ln("    Ctl[" + i2s(I.A) + "] += Ctl[" + i2s(I.A + 2) + "];");
     break;
   case Opcode::FaBegin: {
-    const SlotFacts &S = Slots[static_cast<size_t>(I.A)];
-    if (S.Width != Lanes) {
-      ln("    sfTrap(" + i2s(trapCode(interp::TrapKind::InvalidProgram)) +
-         ", " + Loc + ", \"FORALL index '" + escapeString(S.Name) +
-         "' must be a replicated variable\", nullptr, 0);");
+    const SlotFacts *S = slot(I.A);
+    if (!S)
+      break;
+    if (S->Width != Lanes) {
+      ln("    " + trap(interp::TrapKind::InvalidProgram, Loc,
+                       lit("FORALL index '" + S->Name +
+                           "' must be a replicated variable"),
+                       false));
       break;
     }
     ln("    if (Ctl[" + i2s(I.B + 1) + "] < Ctl[" + i2s(I.B) + "])");
@@ -951,63 +1216,302 @@ void Emitter::emitInstr(size_t PC, const Instr &I) {
     ln("    if (Ctl[" + i2s(I.A + 2) + "] >= Ctl[" + i2s(I.A + 3) + "])");
     ln("      goto L" + i2s(I.D) + ";");
     break;
-  case Opcode::FaLayerMask: {
-    ln("    int64_t Layer = Ctl[" + i2s(I.B + 2) + "];");
-    ln("    int64_t Lo = Ctl[" + i2s(I.B) + "], Hi = Ctl[" +
-       i2s(I.B + 1) + "];");
-    ln("    int64_t Chunk = Ctl[" + i2s(I.B + 3) + "]; (void)Chunk;");
+  case Opcode::FaLayerMask:
+  case Opcode::WherePush: {
+    bool Forall = I.Op == Opcode::FaLayerMask;
+    std::string Par = act(), Cond;
+    int64_t Next = (Depth + 1) * Lanes;
+    if (Forall) {
+      const SlotFacts *S = slot(I.A);
+      if (!S)
+        break;
+      if (S->IsReal) {
+        Failed = true;
+        break;
+      }
+      ln("    const int64_t Layer = Ctl[" + i2s(I.B + 2) + "];");
+      ln("    const int64_t Lo = Ctl[" + i2s(I.B) + "], Hi = Ctl[" +
+         i2s(I.B + 1) + "];");
+      ln("    const int64_t Chunk = Ctl[" + i2s(I.B + 3) + "]; (void)Chunk;");
+      Cond = "(uint8_t)(E >= Lo && E <= Hi)";
+    } else {
+      Cond = "(uint8_t)(" + iv(I.A) + " != 0)";
+    }
     ln("    for (int64_t L = 0; L < SF_LANES; ++L) {");
-    if (Cyclic)
-      ln("      int64_t E = Layer * SF_LANES + L + 1;");
-    else
-      ln("      int64_t E = L * Chunk + Layer + 1;");
-    ln("      SL[" + i2s(I.A) + "].I[L] = E;");
-    ln("      CondM[L] = (E >= Lo && E <= Hi) ? 1 : 0;");
+    if (Forall) {
+      ln(std::string("      const int64_t E = ") +
+         (Cyclic ? "Layer * SF_LANES + L + 1;" : "L * Chunk + Layer + 1;"));
+      ln("      S" + i2s(I.A) + "[L] = E;");
+    }
+    ln("      const uint8_t Cnd = " + Cond + ";");
+    ln("      MaskCond[" + i2s(Next) + " + L] = Cnd;");
+    ln("      MaskCur[" + i2s(Next) + " + L] = (uint8_t)(" + Par + " & Cnd);");
     ln("    }");
-    ln("    sfCharge(" + costExpr(CostKind::LogicOp) + ", " + Loc + ");");
-    ln("    sfPush(CondM);");
+    charge(cost(CostKind::LogicOp), Loc);
     break;
   }
-  case Opcode::WherePush:
-    ln("    const SfReg &V = " + reg(I.A) + ";");
-    ln("    for (int64_t L = 0; L < SF_LANES; ++L) CondM[L] = V.I[L] != "
-       "0 ? 1 : 0;");
-    ln("    sfCharge(" + costExpr(CostKind::LogicOp) + ", " + Loc + ");");
-    ln("    sfPush(CondM);");
+  case Opcode::WhereFlip: {
+    if (Depth < 1) {
+      Failed = true;
+      break;
+    }
+    int64_t Here = Depth * Lanes;
+    --Depth;
+    std::string Par = act();
+    ++Depth;
+    charge(cost(CostKind::LogicOp), Loc);
+    ln(Lp + "MaskCur[" + i2s(Here) + " + L] = (uint8_t)(" + Par +
+       " & !MaskCond[" + i2s(Here) + " + L]);");
     break;
-  case Opcode::WhereFlip:
-    ln("    sfCharge(" + costExpr(CostKind::LogicOp) + ", " + Loc + ");");
-    ln("    sfFlip();");
-    break;
+  }
   case Opcode::MaskPop:
-    ln("    sfPop();");
     break;
   }
   ln("  }");
 }
 
+/// The run's scratch: register payloads, mask levels and callback
+/// buffers, as fixed-size arrays - on the stack, or carved out of one
+/// heap block when \p Heap. Adds their size to \p Bytes.
+std::string Emitter::frame(int64_t &Bytes, bool Heap) {
+  std::string S;
+  auto Array = [&](const char *Type, const std::string &Name, int64_t N,
+                   int64_t Elem) {
+    if (Heap)
+      S += "  " + std::string(Type) + " *const " + Name + " = (" + Type +
+           " *)(SfHeap.P + " + i2s(Bytes) + ");\n";
+    else
+      S += "  alignas(64) " + std::string(Type) + " " + Name + "[" + i2s(N) +
+           "];\n";
+    Bytes += (N * Elem + 63) / 64 * 64;
+  };
+  for (int32_t R = 0; R < NumRegs; ++R) {
+    if (RegUse[static_cast<size_t>(R)] & 1)
+      Array("int64_t", "Ri" + i2s(R), Lanes, 8);
+    if (RegUse[static_cast<size_t>(R)] & 2)
+      Array("double", "Rr" + i2s(R), Lanes, 8);
+  }
+  int64_t Levels = static_cast<int64_t>(MaxDepth) + 1;
+  Array("uint8_t", "MaskCur", Levels * Lanes, 1);
+  Array("uint8_t", "MaskCond", Levels * Lanes, 1);
+  Array("int64_t", "BadL", Lanes, 8);
+  Array("uint8_t", "MaskX", Lanes, 1);
+  if (HasCalls) {
+    int64_t Cells = (MaxArgs > 0 ? MaxArgs : 1) * Lanes;
+    Array("int64_t", "SfArgI", Cells, 8);
+    Array("double", "SfArgR", Cells, 8);
+    Array("int64_t", "SfRetI", Lanes, 8);
+    Array("double", "SfRetR", Lanes, 8);
+  }
+  return S;
+}
+
 std::string Emitter::emit() {
-  if (Lanes < 1)
+  if (Lanes < 1 || NumRegs < 0 || EP.NumCtl < 0)
     return {};
   if (!collectSlots())
     return {};
-  // Mask levels: the base level plus one per lexical push site (each
-  // site pops before it re-enters, so lexical count bounds dynamic
-  // depth), plus slack.
-  int64_t Pushes = 0;
-  int32_t MaxArgs = 1;
-  for (const Instr &I : EP.Code) {
-    if (I.Op == Opcode::WherePush || I.Op == Opcode::FaLayerMask)
-      ++Pushes;
-    if (I.Op == Opcode::CallOp)
-      MaxArgs = std::max(MaxArgs, EP.Extra[static_cast<size_t>(I.C)]);
-  }
-  prologue(Pushes + 2, MaxArgs);
+  if (!analyze())
+    return {};
+
+  // Body first: it decides which payloads and buffers the frame needs.
+  RegUse.assign(static_cast<size_t>(NumRegs), 0);
+  Out.reserve(EP.Code.size() * 160);
+  bool Live = false;
   for (size_t PC = 0; PC < EP.Code.size(); ++PC) {
-    emitInstr(PC, EP.Code[PC]);
+    int32_t B = BlockAt[PC];
+    if (B >= 0) {
+      Live = BlockDepth[static_cast<size_t>(B)] >= 0;
+      if (Live)
+        loadBlock(B);
+    }
+    // Unreachable code is not emitted; nothing reachable jumps there.
+    if (!Live)
+      continue;
+    const Instr &I = EP.Code[PC];
+    emitInstr(PC, I);
+    step(I);
     if (Failed)
       return {};
+    if (!fallsThrough(I.Op))
+      Live = false;
   }
+  std::string Body = std::move(Out);
+  Out.clear();
+
+  int64_t Bytes = 0;
+  std::string Frame = frame(Bytes, false);
+  bool Heap = Bytes > MaxStackFrameBytes;
+  if (Heap) {
+    Bytes = 0;
+    Frame = frame(Bytes, true);
+  }
+
+  const std::string Prog = escapeString(EP.ProgName);
+  // Room for the longest fuel / loop-limit detail around the name.
+  const std::string DetailBytes = i2s(
+      static_cast<int64_t>(EP.ProgName.size()) + 128);
+  Out.reserve(Body.size() + Frame.size() + 8192);
+  ln("// Generated by simdflat codegen::CppEmitter - do not edit.");
+  ln("// program '" + Prog + "', lanes " + i2s(Lanes) + ", layout " +
+     (Cyclic ? "cyclic" : "block") + ".");
+  ln("#include <cmath>");
+  ln("#include <cstdint>");
+  ln("#include <cstdio>");
+  ln("#include <cstdlib>");
+  ln("#include <cstring>");
+  ln("");
+  // Textual copy of the NativeAbi.h structs; the entry point verifies
+  // AbiVersion + sizeof before touching anything else.
+  ln("struct SfSlot { int64_t *I; double *R; int64_t Width; };");
+  ln("struct SfContext {");
+  ln("  int32_t AbiVersion; uint32_t StructBytes; void *Host;");
+  ln("  SfSlot *Slots; double Costs[10]; int64_t Fuel;");
+  ln("  int64_t MaxLoopIterations; int32_t HasDeadline; int32_t "
+     "HasExterns;");
+  ln("  double Cycles; int64_t Instructions; int64_t CommAccesses;");
+  ln("  double *CalleeCosts; uint8_t *CalleeBound; uint8_t *CalleeWork;");
+  ln("  uint8_t *SlotWork;");
+  ln("  void (*Trap)(void *, int32_t, int32_t, const char *, const "
+     "int64_t *, int64_t);");
+  ln("  int32_t (*DeadlineExpired)(void *, int64_t);");
+  ln("  void (*TripRec)(void *, int32_t, int64_t);");
+  ln("  void (*WorkStep)(void *, const uint8_t *);");
+  ln("  void (*CallVec)(void *, int32_t, int32_t, const uint8_t *, "
+     "int32_t, const int8_t *, const void *const *, int32_t, void *);");
+  ln("};");
+  ln("");
+  ln("#define SF_PROG \"" + Prog + "\"");
+  ln("static constexpr int64_t SF_LANES = " + i2s(Lanes) + ";");
+  ln("");
+  ln("static inline double sfBits(uint64_t B) {");
+  ln("  double V; std::memcpy(&V, &B, sizeof(V)); return V;");
+  ln("}");
+  ln("static inline double sfOpaque(double V) {");
+  ln("  volatile double X = V; return X;");
+  ln("}");
+  ln("static inline int64_t sfLayers(int64_t E) {");
+  ln("  return E <= 0 ? 1 : (E + SF_LANES - 1) / SF_LANES;");
+  ln("}");
+  if (Cyclic)
+    ln("static inline int64_t sfLaneOf(int64_t Index, int64_t) {"
+       " return (Index - 1) % SF_LANES; }");
+  else
+    ln("static inline int64_t sfLaneOf(int64_t Index, int64_t Extent) {"
+       " return (Index - 1) / sfLayers(Extent); }");
+  ln("");
+  // Cold exits, out of line so the hot function stays small. A trap
+  // never returns: the host callback throws through this frame (the
+  // module has unwind tables like everything else); abort() is a belt
+  // for a misbehaving host.
+  ln("__attribute__((noreturn, noinline, cold)) static void");
+  ln("sfTrapOut(SfContext *Ctx, double Cy, int64_t In, int64_t Co, "
+     "int32_t Kind,");
+  ln("          int32_t Loc, const char *D, const int64_t *Lns, int64_t "
+     "N) {");
+  ln("  Ctx->Cycles = Cy; Ctx->Instructions = In; Ctx->CommAccesses = Co;");
+  ln("  Ctx->Trap(Ctx->Host, Kind, Loc, D, Lns, N);");
+  ln("  std::abort();");
+  ln("}");
+  ln("__attribute__((noreturn, noinline, cold)) static void");
+  ln("sfFuelOut(SfContext *Ctx, double Cy, int64_t In, int64_t Co, int32_t "
+     "Loc) {");
+  ln("  char D[" + DetailBytes + "];");
+  ln("  std::snprintf(D, sizeof(D), \"fuel budget of %lld instructions "
+     "exhausted in '%s'\",");
+  ln("                (long long)Ctx->Fuel, SF_PROG);");
+  ln("  sfTrapOut(Ctx, Cy, In, Co, " +
+     i2s(trapCode(interp::TrapKind::FuelExhausted)) +
+     ", Loc, D, nullptr, 0);");
+  ln("}");
+  ln("__attribute__((noreturn, noinline, cold)) static void");
+  ln("sfLoopOut(SfContext *Ctx, double Cy, int64_t In, int64_t Co, int32_t "
+     "Loc) {");
+  ln("  char D[" + DetailBytes + "];");
+  ln("  std::snprintf(D, sizeof(D), \"loop iteration limit of %lld "
+     "exceeded in '%s' \"");
+  ln("                \"(non-terminating transform?)\",");
+  ln("                (long long)Ctx->MaxLoopIterations, SF_PROG);");
+  ln("  sfTrapOut(Ctx, Cy, In, Co, " +
+     i2s(trapCode(interp::TrapKind::FuelExhausted)) +
+     ", Loc, D, nullptr, 0);");
+  ln("}");
+  ln("__attribute__((noinline, cold)) static void");
+  ln("sfPoll(SfContext *Ctx, double Cy, int64_t In, int64_t Co, int32_t "
+     "Loc) {");
+  ln("  Ctx->Cycles = Cy; Ctx->Instructions = In; Ctx->CommAccesses = Co;");
+  ln("  if (Ctx->DeadlineExpired(Ctx->Host, In))");
+  ln("    sfTrapOut(Ctx, Cy, In, Co, " +
+     i2s(trapCode(interp::TrapKind::DeadlineExpired)) +
+     ", Loc, \"wall-clock deadline expired in '\" SF_PROG \"'\", "
+     "nullptr, 0);");
+  ln("}");
+  ln("");
+  ln("extern \"C\" int32_t simdflat_native_run(SfContext *Ctx) {");
+  ln("  if (Ctx->AbiVersion != " + i2s(SfNativeAbiVersion) +
+     " || Ctx->StructBytes != (uint32_t)sizeof(SfContext))");
+  ln("    return 1;");
+  if (Heap) {
+    ln("  struct SfBlock { char *P; ~SfBlock() { std::free(P); } };");
+    ln("  SfBlock SfHeap{(char *)std::calloc(1, " + i2s(Bytes) + ")};");
+    ln("  if (!SfHeap.P) return 1;");
+  }
+  Out += Frame;
+  ln("  int64_t Ctl[" + i2s(static_cast<int64_t>(EP.NumCtl) + 1) +
+     "] = {};");
+  ln("  int64_t NBad = 0; (void)NBad;");
+  ln("  for (int64_t L = 0; L < SF_LANES; ++L) MaskCur[L] = 1;");
+  // Per-run facts, read once: nothing the module calls changes them.
+  for (size_t S = 0; S < Slots.size(); ++S) {
+    std::string N = i2s(static_cast<int64_t>(S));
+    ln(std::string("  ") + (Slots[S].IsReal ? "double" : "int64_t") +
+       " *const S" + N + " = Ctx->Slots[" + N + "]." +
+       (Slots[S].IsReal ? "R" : "I") + "; (void)S" + N + ";");
+    ln("  const bool W" + N + " = Ctx->SlotWork[" + N + "] != 0; (void)W" +
+       N + ";");
+  }
+  for (int K = 0; K <= static_cast<int>(CostKind::LoopOverhead); ++K)
+    ln("  const double C" + i2s(K) + " = Ctx->Costs[" + i2s(K) +
+       "]; (void)C" + i2s(K) + ";");
+  ln("  const int64_t FuelCap = Ctx->Fuel > 0 ? Ctx->Fuel : INT64_MAX;");
+  ln("  const int64_t MaxLoopIters = Ctx->MaxLoopIterations;");
+  ln("  const bool HasDeadline = Ctx->HasDeadline != 0;");
+  ln("  double Cycles = Ctx->Cycles;");
+  ln("  int64_t Instructions = Ctx->Instructions;");
+  ln("  int64_t Comm = Ctx->CommAccesses;");
+  ln("  int64_t LoopIterations = 0;");
+  ln("");
+  ln("  auto sfSync = [&]() {");
+  ln("    Ctx->Cycles = Cycles;");
+  ln("    Ctx->Instructions = Instructions;");
+  ln("    Ctx->CommAccesses = Comm;");
+  ln("  };");
+  ln("  auto sfTrap = [&](int32_t Kind, int32_t Loc, const char *D,");
+  ln("                    const int64_t *Lns, int64_t N) {");
+  ln("    sfTrapOut(Ctx, Cycles, Instructions, Comm, Kind, Loc, D, Lns, N);");
+  ln("  };");
+  ln("  auto sfCharge = [&](double C, int32_t Loc) {");
+  ln("    Cycles += C;");
+  ln("    Instructions += 1;");
+  ln("    if (__builtin_expect(Instructions > FuelCap, 0))");
+  ln("      sfFuelOut(Ctx, Cycles, Instructions, Comm, Loc);");
+  ln("    if (HasDeadline && Instructions % " +
+     i2s(interp::DeadlineCheckInterval) + " == 1)");
+  ln("      sfPoll(Ctx, Cycles, Instructions, Comm, Loc);");
+  ln("  };");
+  ln("  auto sfLoopIter = [&](int32_t Loc) {");
+  ln("    if (__builtin_expect(++LoopIterations > MaxLoopIters, 0))");
+  ln("      sfLoopOut(Ctx, Cycles, Instructions, Comm, Loc);");
+  ln("    sfCharge(" + cost(CostKind::LoopOverhead) + ", Loc);");
+  ln("  };");
+  ln("  auto sfWork = [&](const uint8_t *M) {");
+  ln("    std::memcpy(MaskX, M, SF_LANES);");
+  ln("    sfSync();");
+  ln("    Ctx->WorkStep(Ctx->Host, MaskX);");
+  ln("  };");
+  ln("  (void)sfTrap; (void)sfLoopIter; (void)sfWork;");
+  ln("");
+  Out += Body;
   // Unreachable tail (every path returns through Halt or a trap).
   ln("  return 0;");
   ln("}");

@@ -33,8 +33,9 @@
 namespace simdflat {
 namespace codegen {
 
-/// Bumped whenever SfSlot/SfContext change layout.
-constexpr int32_t SfNativeAbiVersion = 1;
+/// Bumped whenever SfSlot/SfContext change layout or meaning. Version
+/// 2 replaced the per-lane extern callback with one CallVec per CALL.
+constexpr int32_t SfNativeAbiVersion = 2;
 
 /// Name of the exported entry point of every generated module.
 constexpr const char *SfNativeEntryName = "simdflat_native_run";
@@ -92,16 +93,19 @@ struct SfContext {
   /// Records one work step; \p Mask points at the current per-lane
   /// activity mask (lane count is baked and known to the host).
   void (*WorkStep)(void *Host, const uint8_t *Mask);
-  /// Invokes extern \p Callee for one active lane. Argument kinds use
-  /// ir::ScalarKind values (0=Int, 1=Real, 2=Bool); for each argument
-  /// exactly the payload matching its kind is meaningful. On return the
-  /// host has stored the raw integer payload in *RetI and the numeric
-  /// (asNumeric) value in *RetR; extern failures throw on the host side
-  /// and do not return.
-  void (*CallLane)(void *Host, int32_t Callee, int64_t Lane,
-                   int32_t LocIdx, int32_t NumArgs, const int8_t *ArgKinds,
-                   const int64_t *ArgI, const double *ArgR,
-                   int64_t *RetI, double *RetR);
+  /// Invokes extern \p Callee once per active lane of \p Mask, in lane
+  /// order (one callback per CALL instruction). \p Args holds one
+  /// lane array per argument: int64_t lanes when \p ArgKinds says Int
+  /// or Bool (ir::ScalarKind values 0=Int, 1=Real, 2=Bool), double lanes
+  /// for Real. When \p Ret is non-null the host fills every lane of it,
+  /// typed by \p RetKind the same way: the result (the raw integer
+  /// payload, or the asNumeric value for Real) on active lanes, zero on
+  /// idle ones. Extern failures throw on the host side and do not
+  /// return; the lanes before the failing one have been called.
+  void (*CallVec)(void *Host, int32_t Callee, int32_t LocIdx,
+                  const uint8_t *Mask, int32_t NumArgs,
+                  const int8_t *ArgKinds, const void *const *Args,
+                  int32_t RetKind, void *Ret);
 };
 
 /// Entry point type: returns 0 on a completed run, 1 on an ABI

@@ -20,6 +20,7 @@
 #include <cstring>
 #include <map>
 #include <mutex>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -109,10 +110,7 @@ SfNativeRunFn entryFor(const exec::Program &EP, const ir::Program &IRP,
 /// Per-run host state the generated module's callbacks operate on.
 struct HostState {
   const exec::Program *EP = nullptr;
-  const machine::MachineConfig *Machine = nullptr;
-  const interp::ExternRegistry *Externs = nullptr;
   const interp::RunOptions *Opts = nullptr;
-  interp::DataStore *Store = nullptr;
   interp::RunStats *Stats = nullptr;
   interp::Trace *Tr = nullptr;
   int64_t Lanes = 1;
@@ -183,36 +181,57 @@ void cbWorkStep(void *Host, const uint8_t *Mask) {
   H.Tr->Steps.push_back(std::move(Step));
 }
 
-void cbCallLane(void *Host, int32_t Callee, int64_t Lane, int32_t LocIdx,
-                int32_t NumArgs, const int8_t *ArgKinds,
-                const int64_t *ArgI, const double *ArgR, int64_t *RetI,
-                double *RetR) {
+void cbCallVec(void *Host, int32_t Callee, int32_t LocIdx,
+               const uint8_t *Mask, int32_t NumArgs, const int8_t *ArgKinds,
+               const void *const *Args, int32_t RetKind, void *Ret) {
   HostState &H = *static_cast<HostState *>(Host);
   const interp::ExternImpl *Impl =
       H.CalleeImpls[static_cast<size_t>(Callee)];
-  std::vector<interp::ScalVal> Args(static_cast<size_t>(NumArgs));
-  for (int32_t A = 0; A < NumArgs; ++A) {
-    auto K = static_cast<ir::ScalarKind>(ArgKinds[A]);
-    // Reproduces VecVal::lane(): the kind plus exactly the matching
-    // payload, the other one zero.
-    if (K == ir::ScalarKind::Real)
-      Args[static_cast<size_t>(A)] = interp::ScalVal::makeReal(ArgR[A]);
+  // One argument buffer for the whole CALL, on the stack up to eight
+  // arguments.
+  constexpr int32_t StackArgs = 8;
+  interp::ScalVal Stack[StackArgs];
+  std::vector<interp::ScalVal> Spill;
+  interp::ScalVal *Buf = Stack;
+  if (NumArgs > StackArgs) {
+    Spill.resize(static_cast<size_t>(NumArgs));
+    Buf = Spill.data();
+  }
+  std::span<const interp::ScalVal> ArgSpan(Buf,
+                                           static_cast<size_t>(NumArgs));
+  bool RetReal = RetKind == static_cast<int32_t>(ir::ScalarKind::Real);
+  for (int64_t L = 0; L < H.Lanes; ++L) {
+    interp::ScalVal R;
+    if (Mask[L]) {
+      for (int32_t A = 0; A < NumArgs; ++A) {
+        auto K = static_cast<ir::ScalarKind>(ArgKinds[A]);
+        // Reproduces VecVal::lane(): the kind plus exactly the matching
+        // payload, the other one zero.
+        if (K == ir::ScalarKind::Real)
+          Buf[A] = interp::ScalVal::makeReal(
+              static_cast<const double *>(Args[A])[L]);
+        else
+          Buf[A] = interp::ScalVal{
+              K, static_cast<const int64_t *>(Args[A])[L], 0.0};
+      }
+      try {
+        R = Impl->Fn(ArgSpan);
+      } catch (const interp::ExternError &E) {
+        H.syncStats();
+        H.trap(static_cast<int32_t>(interp::TrapKind::ExternFailure),
+               LocIdx,
+               "extern '" + H.EP->Callees[static_cast<size_t>(Callee)] +
+                   "' failed: " + E.Message,
+               &L, 1);
+      }
+    }
+    if (!Ret)
+      continue;
+    if (RetReal)
+      static_cast<double *>(Ret)[L] = Mask[L] ? R.asNumeric() : 0.0;
     else
-      Args[static_cast<size_t>(A)] =
-          interp::ScalVal{K, ArgI[A], 0.0};
+      static_cast<int64_t *>(Ret)[L] = Mask[L] ? R.I : 0;
   }
-  interp::ScalVal R;
-  try {
-    R = Impl->Fn(Args);
-  } catch (const interp::ExternError &E) {
-    H.syncStats();
-    H.trap(static_cast<int32_t>(interp::TrapKind::ExternFailure), LocIdx,
-           "extern '" + H.EP->Callees[static_cast<size_t>(Callee)] +
-               "' failed: " + E.Message,
-           &Lane, 1);
-  }
-  *RetI = R.I;
-  *RetR = R.asNumeric();
 }
 
 } // namespace
@@ -253,10 +272,7 @@ bool codegen::runSimdNative(const exec::Program &EP,
 
   HostState H;
   H.EP = &EP;
-  H.Machine = &Machine;
-  H.Externs = Externs;
   H.Opts = &Opts;
-  H.Store = &Store;
   H.Stats = &Stats;
   H.Tr = &Tr;
   H.Lanes = Lanes;
@@ -324,7 +340,7 @@ bool codegen::runSimdNative(const exec::Program &EP,
   Ctx.DeadlineExpired = cbDeadlineExpired;
   Ctx.TripRec = cbTripRec;
   Ctx.WorkStep = cbWorkStep;
-  Ctx.CallLane = cbCallLane;
+  Ctx.CallVec = cbCallVec;
   H.Ctx = &Ctx;
 
   int32_t RC;

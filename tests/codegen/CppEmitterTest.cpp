@@ -2,17 +2,23 @@
 //
 // Contract tests for codegen::emitCpp and the JitCache keying layer
 // that do not need a host toolchain: which programs the emitter
-// accepts, what the generated TU must structurally contain, and that
-// source keys are stable and content-sensitive.
+// accepts (and the static-kind refusal rule), what the generated TU
+// must structurally contain, and that source keys are stable and
+// content-sensitive.
 //
 //===----------------------------------------------------------------------===//
 
 #include "codegen/CppEmitter.h"
 #include "codegen/JitCache.h"
+#include "codegen/NativeAbi.h"
+#include "exec/Bytecode.h"
+#include "interp/SimdInterp.h"
 #include "transform/Pipeline.h"
 #include "workloads/PaperKernels.h"
 
 #include <gtest/gtest.h>
+
+#include <memory>
 
 using namespace simdflat;
 using namespace simdflat::workloads;
@@ -46,6 +52,74 @@ TEST(CppEmitter, SimdProgramEmitsEntryAndAbiGuard) {
 
 TEST(CppEmitter, EmissionIsDeterministic) {
   EXPECT_EQ(emitExample(), emitExample());
+}
+
+TEST(CppEmitter, EmittedModuleHasStaticKindsAndCHeadersOnly) {
+  // Registers are typed at emit time: no runtime kind tag, no coercion
+  // helpers, no C++ library containers - the prologue needs C headers
+  // only, which keeps every host compile short.
+  std::string Src = emitExample();
+  ASSERT_FALSE(Src.empty());
+  EXPECT_EQ(codegen::SfNativeAbiVersion, 2);
+  EXPECT_NE(Src.find("AbiVersion != 2"), std::string::npos);
+  EXPECT_NE(Src.find("CallVec"), std::string::npos);
+  for (const char *Gone :
+       {"std::string", "std::vector", "#include <string>",
+        "#include <vector>", "#include <algorithm>", "std::max",
+        "std::min", "numeric_limits", "SfReg", ".K ==", "sfToReal",
+        "sfToKind", "CallLane"})
+    EXPECT_EQ(Src.find(Gone), std::string::npos) << Gone;
+}
+
+/// A hand-lowered program whose register 1 is an integer on one path
+/// and a real on the other when both reach the store into `x`; with
+/// \p SameKind both paths load integers instead.
+std::shared_ptr<exec::Program> twoPathProgram(bool SameKind) {
+  using exec::Instr;
+  using exec::Opcode;
+  auto EP = std::make_shared<exec::Program>();
+  EP->ProgName = "mixed";
+  EP->IntPool = {5, 6};
+  EP->RealPool = {2.5};
+  EP->SlotNames = {"x"};
+  EP->Msgs = {"IF condition"};
+  EP->Locs = {"assign x"};
+  EP->NumRegs = 2;
+  EP->Code = {
+      Instr{Opcode::LdBool, 0, 1, 0, 0, 0},
+      Instr{Opcode::UBrFalse, 0, 0, 0, 4, 0},
+      Instr{Opcode::LdInt, 1, 0, 0, 0, 0},
+      Instr{Opcode::Jmp, 0, 0, 0, 5, 0},
+      SameKind ? Instr{Opcode::LdInt, 1, 1, 0, 0, 0}
+               : Instr{Opcode::LdReal, 1, 0, 0, 0, 0},
+      Instr{Opcode::StVar, 0, 1, 0, 0, 0},
+      Instr{Opcode::Halt, 0, 0, 0, 0, 0},
+  };
+  return EP;
+}
+
+TEST(CppEmitter, RegisterWithTwoKindsAtAUseIsRefused) {
+  ir::Program P("mixed");
+  P.setDialect(ir::Dialect::F90Simd);
+  P.addVar("x", ir::ScalarKind::Int, {}, ir::Dist::Replicated);
+  machine::MachineConfig M;
+  M.Name = "test-2";
+  M.Processors = M.Gran = 2;
+  EXPECT_FALSE(codegen::emitCpp(*twoPathProgram(true), P, M).empty());
+  std::shared_ptr<exec::Program> Mixed = twoPathProgram(false);
+  EXPECT_EQ(codegen::emitCpp(*Mixed, P, M), "");
+
+  // The refused program still runs: Engine::Native serves it on
+  // bytecode, which takes the integer path.
+  interp::RunOptions O;
+  O.Eng = interp::Engine::Native;
+  interp::SimdInterp Interp(P, M, nullptr, O);
+  Interp.setCompiled(Mixed);
+  auto R = Interp.run();
+  ASSERT_TRUE(static_cast<bool>(R)) << R.error().render();
+  EXPECT_EQ(R->EngineUsed, interp::Engine::Bytecode);
+  EXPECT_EQ(Interp.store().slot("x").I, (std::vector<int64_t>{5, 5}));
+  EXPECT_EQ(R->Stats.Instructions, 1);
 }
 
 TEST(JitCache, SourceKeyStableAndContentSensitive) {

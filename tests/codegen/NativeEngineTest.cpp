@@ -13,8 +13,11 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "codegen/CppEmitter.h"
 #include "codegen/JitCache.h"
 #include "codegen/NativeEngine.h"
+#include "exec/Engine.h"
+#include "exec/Lower.h"
 #include "frontend/Parser.h"
 #include "interp/SimdInterp.h"
 #include "transform/Pipeline.h"
@@ -24,9 +27,12 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstdlib>
 #include <cstring>
+#include <functional>
 #include <map>
+#include <optional>
 
 using namespace simdflat;
 using namespace simdflat::interp;
@@ -186,7 +192,7 @@ TEST(NativeEngine, FuelTrapIdentity) {
 
 TEST(NativeEngine, ExternCallsPerActiveLaneInOrder) {
   // Extern invocation order, arguments, and work-call accounting cross
-  // the ABI: the host-side CallLane must replay the interpreter's
+  // the ABI: the host-side CallVec must replay the interpreter's
   // per-active-lane order exactly.
   Program P("sub");
   P.setDialect(Dialect::F90Simd);
@@ -517,6 +523,411 @@ TEST(NativeEngine, SqrtNegativeActiveLaneTrapsIdentically) {
   EXPECT_EQ(T[0].Lanes, (std::vector<int64_t>{1, 3}));
   for (int J : {1, 2})
     expectSameTrap(T[0], T[J]);
+}
+
+/// One engine's view of a run on the 4-lane cyclic machine: the store
+/// it left, its counters (for bytecode and native also after a trap)
+/// and the trap, if any.
+struct EngineRun {
+  std::optional<Trap> T;
+  RunStats Stats;
+  std::map<std::string, std::vector<int64_t>> Ints;
+  std::map<std::string, std::vector<double>> Reals;
+  Engine Used = Engine::Tree;
+};
+
+/// Runs \p Prog (lowered: \p Code) under \p E. \p Seed fills the store;
+/// the slots named in \p IntSlots / \p RealSlots are read back raw (all
+/// lanes of a replicated scalar). Bytecode and native run through the
+/// engine entry points directly, so their counters survive a trap.
+EngineRun runEngine(const Program &Prog,
+                    const std::shared_ptr<const exec::Program> &Code,
+                    Engine E, const std::function<void(DataStore &)> &Seed,
+                    const std::vector<std::string> &IntSlots,
+                    const std::vector<std::string> &RealSlots,
+                    const ExternRegistry *Reg = nullptr) {
+  machine::MachineConfig M = lanes(4, machine::Layout::Cyclic);
+  RunOptions O;
+  O.Eng = E;
+  EngineRun Out;
+  auto ReadBack = [&](const DataStore &S) {
+    for (const std::string &N : IntSlots)
+      Out.Ints[N] = S.slot(N).I;
+    for (const std::string &N : RealSlots)
+      Out.Reals[N] = S.slot(N).R;
+  };
+  if (E == Engine::Tree) {
+    SimdInterp Interp(Prog, M, Reg, O);
+    Seed(Interp.store());
+    auto R = Interp.run();
+    if (R)
+      Out.Stats = R->Stats;
+    else
+      Out.T = R.error();
+    ReadBack(Interp.store());
+    return Out;
+  }
+  DataStore Store(Prog, M.Gran);
+  Seed(Store);
+  SimdRunResult R;
+  Out.Used = E;
+  try {
+    if (E != Engine::Native ||
+        !codegen::runSimdNative(*Code, Prog, M, Reg, O, Store, R)) {
+      Out.Used = Engine::Bytecode;
+      exec::runSimd(*Code, M, Reg, O, Store, R);
+    }
+  } catch (TrapException &X) {
+    Out.T = std::move(X.T);
+  }
+  Out.Stats = R.Stats;
+  ReadBack(Store);
+  return Out;
+}
+
+/// Runs all three engines and checks them: trap and store (bitwise)
+/// against the tree, counters against bytecode - after a trap too.
+/// Returns the tree's run.
+EngineRun expectEnginesAgree(const Program &Prog,
+                             const std::shared_ptr<const exec::Program> &Code,
+                             const std::function<void(DataStore &)> &Seed,
+                             const std::vector<std::string> &IntSlots,
+                             const std::vector<std::string> &RealSlots) {
+  EngineRun Tree =
+      runEngine(Prog, Code, Engine::Tree, Seed, IntSlots, RealSlots);
+  EngineRun Byte =
+      runEngine(Prog, Code, Engine::Bytecode, Seed, IntSlots, RealSlots);
+  EngineRun Nat =
+      runEngine(Prog, Code, Engine::Native, Seed, IntSlots, RealSlots);
+  if (codegen::nativeAvailable()) {
+    EXPECT_EQ(Nat.Used, Engine::Native);
+  }
+  for (const EngineRun *X : {&Byte, &Nat}) {
+    const char *Name = engineName(X->Used);
+    EXPECT_EQ(Tree.T.has_value(), X->T.has_value()) << Name;
+    if (Tree.T && X->T)
+      expectSameTrap(*Tree.T, *X->T);
+    EXPECT_EQ(Tree.Ints, X->Ints) << Name;
+    for (const auto &[N, V] : Tree.Reals)
+      EXPECT_TRUE(bitwiseEqual(V, X->Reals.at(N))) << Name << " " << N;
+  }
+  expectSameStats(Byte.Stats, Nat.Stats);
+  expectSameTripNests(Byte.Stats, Nat.Stats);
+  if (!Tree.T)
+    expectSameStats(Tree.Stats, Nat.Stats);
+  return Tree;
+}
+
+/// Parses and compiles \p Source into \p Out for the engines above.
+void compileSource(const char *Source, transform::CompiledSimdProgram &Out) {
+  frontend::ParseResult PR = frontend::parseProgram(Source);
+  ASSERT_TRUE(PR.ok()) << PR.Diags.renderAll();
+  auto C = transform::compileForSimdExec(*PR.Prog);
+  ASSERT_TRUE(static_cast<bool>(C)) << C.error().render();
+  Out = std::move(*C);
+}
+
+TEST(NativeEngine, GatherOutOfBoundsIdleLanesDoNotTrap) {
+  // The padded tail of DOALL k = 1, 6 on 4 lanes reads A(7) and A(8) on
+  // idle lanes, and the WHERE idles the lanes whose IX is out of range:
+  // the bounds pass fails, and the fallback sweep must read 0 there
+  // without trapping.
+  const char *Source = "PROGRAM GI\n"
+                       "DISTRIBUTED INTEGER A(6)\n"
+                       "DISTRIBUTED INTEGER B(6)\n"
+                       "DISTRIBUTED INTEGER C(6)\n"
+                       "DISTRIBUTED INTEGER IX(6)\n"
+                       "INTEGER k\n"
+                       "BEGIN\n"
+                       "  DOALL k = 1, 6\n"
+                       "    B(k) = A(k) + 1\n"
+                       "    WHERE (IX(k) >= 1 .AND. IX(k) <= 6)\n"
+                       "      C(k) = A(IX(k))\n"
+                       "    ENDWHERE\n"
+                       "  ENDDO\n"
+                       "END\n";
+  transform::CompiledSimdProgram C{Program(""), nullptr};
+  ASSERT_NO_FATAL_FAILURE(compileSource(Source, C));
+  auto Seed = [](DataStore &S) {
+    S.setIntArray("A", std::vector<int64_t>{10, 20, 30, 40, 50, 60});
+    S.setIntArray("IX", std::vector<int64_t>{2, 9, 1, 0, 6, 3});
+    S.setIntArray("C", std::vector<int64_t>(6, -1));
+  };
+  EngineRun Tree = expectEnginesAgree(C.Prog, C.Code, Seed, {"B", "C"}, {});
+  ASSERT_FALSE(Tree.T) << Tree.T->render();
+  EXPECT_EQ(Tree.Ints["B"], (std::vector<int64_t>{11, 21, 31, 41, 51, 61}));
+  EXPECT_EQ(Tree.Ints["C"], (std::vector<int64_t>{20, -1, 10, -1, 60, 30}));
+}
+
+TEST(NativeEngine, GatherOutOfBoundsActiveLanesTrapIdentically) {
+  // Active lanes 1 and 3 index A(9) and A(0): the same lane set, trap
+  // location and counters under every engine.
+  const char *Source = "PROGRAM GA\n"
+                       "DISTRIBUTED INTEGER A(4)\n"
+                       "DISTRIBUTED INTEGER B(4)\n"
+                       "DISTRIBUTED INTEGER IX(4)\n"
+                       "INTEGER k\n"
+                       "BEGIN\n"
+                       "  DOALL k = 1, 4\n"
+                       "    B(k) = A(IX(k))\n"
+                       "  ENDDO\n"
+                       "END\n";
+  transform::CompiledSimdProgram C{Program(""), nullptr};
+  ASSERT_NO_FATAL_FAILURE(compileSource(Source, C));
+  auto Seed = [](DataStore &S) {
+    S.setIntArray("A", std::vector<int64_t>{1, 2, 3, 4});
+    S.setIntArray("IX", std::vector<int64_t>{2, 9, 1, 0});
+  };
+  EngineRun Tree = expectEnginesAgree(C.Prog, C.Code, Seed, {"B"}, {});
+  ASSERT_TRUE(Tree.T);
+  EXPECT_EQ(Tree.T->Kind, TrapKind::OutOfBounds);
+  EXPECT_EQ(Tree.T->Lanes, (std::vector<int64_t>{1, 3}));
+}
+
+TEST(NativeEngine, ScatterConflictLastActiveLaneWins) {
+  // Lanes 0 and 2 both write B(2): committed in lane order, lane 2's
+  // value stays; B(4) is never written.
+  const char *Source = "PROGRAM SC\n"
+                       "DISTRIBUTED INTEGER B(4)\n"
+                       "DISTRIBUTED INTEGER IX(4)\n"
+                       "INTEGER k\n"
+                       "BEGIN\n"
+                       "  DOALL k = 1, 4\n"
+                       "    B(IX(k)) = k * 10\n"
+                       "  ENDDO\n"
+                       "END\n";
+  transform::CompiledSimdProgram C{Program(""), nullptr};
+  ASSERT_NO_FATAL_FAILURE(compileSource(Source, C));
+  auto Seed = [](DataStore &S) {
+    S.setIntArray("IX", std::vector<int64_t>{2, 3, 2, 1});
+    S.setIntArray("B", std::vector<int64_t>{-1, -1, -1, -1});
+  };
+  EngineRun Tree = expectEnginesAgree(C.Prog, C.Code, Seed, {"B"}, {});
+  ASSERT_FALSE(Tree.T) << Tree.T->render();
+  EXPECT_EQ(Tree.Ints["B"], (std::vector<int64_t>{40, 30, 20, -1}));
+}
+
+TEST(NativeEngine, ScatterOutOfBoundsActiveLaneCommitsNothing) {
+  // Lane 2 writes B(7): the scatter traps on it before any lane
+  // commits, so B keeps its seed under every engine.
+  const char *Source = "PROGRAM SO\n"
+                       "DISTRIBUTED INTEGER B(4)\n"
+                       "DISTRIBUTED INTEGER IX(4)\n"
+                       "INTEGER k\n"
+                       "BEGIN\n"
+                       "  DOALL k = 1, 4\n"
+                       "    B(IX(k)) = k\n"
+                       "  ENDDO\n"
+                       "END\n";
+  transform::CompiledSimdProgram C{Program(""), nullptr};
+  ASSERT_NO_FATAL_FAILURE(compileSource(Source, C));
+  auto Seed = [](DataStore &S) {
+    S.setIntArray("IX", std::vector<int64_t>{1, 2, 7, 3});
+    S.setIntArray("B", std::vector<int64_t>{5, 6, 7, 8});
+  };
+  EngineRun Tree = expectEnginesAgree(C.Prog, C.Code, Seed, {"B"}, {});
+  ASSERT_TRUE(Tree.T);
+  EXPECT_EQ(Tree.T->Kind, TrapKind::OutOfBounds);
+  EXPECT_EQ(Tree.T->Lanes, (std::vector<int64_t>{2}));
+  EXPECT_EQ(Tree.Ints["B"], (std::vector<int64_t>{5, 6, 7, 8}));
+}
+
+TEST(NativeEngine, DivModByLiteralZeroTrapsOnActiveLanesOnly) {
+  // Every lane divides by the literal 0; only the WHERE's active lanes
+  // (A > 2: lanes 1 and 3) are the fault set.
+  for (const char *Op : {"A(k) / 0", "MOD(A(k), 0)"}) {
+    std::string Source = "PROGRAM DZ\n"
+                         "DISTRIBUTED INTEGER A(4)\n"
+                         "DISTRIBUTED INTEGER B(4)\n"
+                         "INTEGER k\n"
+                         "BEGIN\n"
+                         "  DOALL k = 1, 4\n"
+                         "    WHERE (A(k) > 2)\n"
+                         "      B(k) = ";
+    Source += Op;
+    Source += "\n    ENDWHERE\n  ENDDO\nEND\n";
+    transform::CompiledSimdProgram C{Program(""), nullptr};
+    ASSERT_NO_FATAL_FAILURE(compileSource(Source.c_str(), C));
+    auto Seed = [](DataStore &S) {
+      S.setIntArray("A", std::vector<int64_t>{1, 5, 2, 7});
+    };
+    EngineRun Tree = expectEnginesAgree(C.Prog, C.Code, Seed, {"B"}, {});
+    ASSERT_TRUE(Tree.T) << Op;
+    EXPECT_EQ(Tree.T->Kind, TrapKind::DivByZero) << Op;
+    EXPECT_EQ(Tree.T->Lanes, (std::vector<int64_t>{1, 3})) << Op;
+  }
+}
+
+TEST(NativeEngine, DivModByNonzeroLiteralMatchesSweep) {
+  // A literal divisor skips the zero sweep; truncation toward zero and
+  // the sign of MOD must still match on negative dividends.
+  const char *Source = "PROGRAM DL\n"
+                       "DISTRIBUTED INTEGER A(6)\n"
+                       "DISTRIBUTED INTEGER B(6)\n"
+                       "DISTRIBUTED INTEGER C(6)\n"
+                       "INTEGER k\n"
+                       "BEGIN\n"
+                       "  DOALL k = 1, 6\n"
+                       "    B(k) = A(k) / 3\n"
+                       "    C(k) = MOD(A(k), 4)\n"
+                       "  ENDDO\n"
+                       "END\n";
+  transform::CompiledSimdProgram C{Program(""), nullptr};
+  ASSERT_NO_FATAL_FAILURE(compileSource(Source, C));
+  auto Seed = [](DataStore &S) {
+    S.setIntArray("A", std::vector<int64_t>{-7, 7, -1, 0, 13, -13});
+  };
+  EngineRun Tree = expectEnginesAgree(C.Prog, C.Code, Seed, {"B", "C"}, {});
+  ASSERT_FALSE(Tree.T) << Tree.T->render();
+  EXPECT_EQ(Tree.Ints["B"], (std::vector<int64_t>{-2, 2, 0, 0, 4, -4}));
+  EXPECT_EQ(Tree.Ints["C"], (std::vector<int64_t>{-3, 3, -1, 0, 1, -1}));
+}
+
+TEST(NativeEngine, ExternThrowingOnThirdActiveLaneStopsThere) {
+  // Under WHERE (lanes 0, 2, 3 active) the extern refuses the third
+  // active lane: the trap names lane 3, the counters match and the call
+  // log holds exactly the two calls before it.
+  Program P("ext3");
+  P.setDialect(Dialect::F90Simd);
+  P.addVar("v", ScalarKind::Int, {}, Dist::Replicated);
+  P.addExtern("Probe", ScalarKind::Int, /*Pure=*/false,
+              /*IsSubroutine=*/true);
+  Builder B(P);
+  P.body().push_back(B.set("v", B.laneIndex()));
+  std::vector<ExprPtr> Args;
+  Args.push_back(B.var("v"));
+  P.body().push_back(B.where(
+      B.ne(B.var("v"), B.lit(2)),
+      Builder::body(B.callSub("Probe", std::move(Args)))));
+  auto Code = std::make_shared<const exec::Program>(
+      exec::lower(P, exec::Mode::Simd));
+  std::vector<int64_t> Logs[3];
+  EngineRun Runs[3];
+  int I = 0;
+  for (Engine E : AllEngines) {
+    ExternRegistry Reg;
+    std::vector<int64_t> &Seen = Logs[I];
+    Reg.bind(
+        "Probe",
+        [&Seen](std::span<const ScalVal> A) {
+          if (Seen.size() == 2)
+            throw ExternError{"third active lane refuses"};
+          Seen.push_back(A[0].I);
+          return ScalVal::makeInt(0);
+        },
+        /*Cost=*/3.0);
+    Runs[I++] = runEngine(P, Code, E, [](DataStore &) {}, {"v"}, {}, &Reg);
+  }
+  ASSERT_TRUE(Runs[0].T);
+  EXPECT_EQ(Runs[0].T->Kind, TrapKind::ExternFailure);
+  EXPECT_EQ(Runs[0].T->Lanes, (std::vector<int64_t>{3}));
+  EXPECT_EQ(Logs[0], (std::vector<int64_t>{1, 3}));
+  if (codegen::nativeAvailable()) {
+    EXPECT_EQ(Runs[2].Used, Engine::Native);
+  }
+  for (int J : {1, 2}) {
+    ASSERT_TRUE(Runs[J].T) << engineName(AllEngines[J]);
+    expectSameTrap(*Runs[0].T, *Runs[J].T);
+    EXPECT_EQ(Logs[0], Logs[J]) << engineName(AllEngines[J]);
+  }
+  expectSameStats(Runs[1].Stats, Runs[2].Stats);
+  EXPECT_GT(Runs[2].Stats.Instructions, 0);
+}
+
+TEST(NativeEngine, PartialMaskStoresKeepIdlePayloads) {
+  // Replicated INTEGER and REAL scalars under a partial mask: the
+  // native commit is a blend, and the idle lanes (2 and 3) must keep
+  // their exact bits - a -0.0 and quiet and signaling NaN payloads.
+  Program P("keep");
+  P.setDialect(Dialect::F90Simd);
+  P.addVar("x", ScalarKind::Real, {}, Dist::Replicated);
+  P.addVar("n", ScalarKind::Int, {}, Dist::Replicated);
+  Builder B(P);
+  P.body().push_back(B.where(
+      B.le(B.laneIndex(), B.lit(2)),
+      Builder::body(B.set("x", B.lit(1.5)), B.set("n", B.lit(7)))));
+  auto Code = std::make_shared<const exec::Program>(
+      exec::lower(P, exec::Mode::Simd));
+  auto Bits = [](uint64_t U) {
+    double D;
+    std::memcpy(&D, &U, sizeof(D));
+    return D;
+  };
+  const double QuietNaN = Bits(0x7ff8000000000123ULL);
+  const double SignalingNaN = Bits(0x7ff0000000000001ULL);
+  for (double Idle2 : {-0.0, QuietNaN}) {
+    auto Seed = [&](DataStore &S) {
+      Slot &X = S.slot("x");
+      X.R = {0.0, 0.0, Idle2, SignalingNaN};
+      Slot &N = S.slot("n");
+      N.I = {0, 0, INT64_MIN, -1};
+    };
+    EngineRun Tree = expectEnginesAgree(P, Code, Seed, {"n"}, {"x"});
+    ASSERT_FALSE(Tree.T) << Tree.T->render();
+    std::vector<double> Want = {1.5, 1.5, Idle2, SignalingNaN};
+    EXPECT_TRUE(bitwiseEqual(Tree.Reals["x"], Want));
+    EXPECT_EQ(Tree.Ints["n"], (std::vector<int64_t>{7, 7, INT64_MIN, -1}));
+  }
+}
+
+TEST(NativeEngine, OutOfRangeRealConstantsConvertAtRunTime) {
+  // Storing a real constant into an integer truncates at run time in
+  // the interpreter; outside the int64 range (and for NaN) the host's
+  // conversion instruction decides the result. The emitter must not
+  // hand that conversion to the host compiler's constant folder, which
+  // may saturate where the instruction does not.
+  Program P("conv");
+  P.setDialect(Dialect::F90Simd);
+  P.addVar("a", ScalarKind::Int, {}, Dist::Replicated);
+  P.addVar("b", ScalarKind::Int, {}, Dist::Replicated);
+  P.addVar("c", ScalarKind::Int, {}, Dist::Replicated);
+  P.addVar("d", ScalarKind::Int, {}, Dist::Replicated);
+  Builder B(P);
+  P.body().push_back(B.set("a", B.lit(1e30)));
+  P.body().push_back(B.set("b", B.lit(-1e30)));
+  P.body().push_back(B.set("c", B.lit(std::nan(""))));
+  P.body().push_back(B.set("d", B.lit(-7.75)));
+  auto Code = std::make_shared<const exec::Program>(
+      exec::lower(P, exec::Mode::Simd));
+  EngineRun Tree = expectEnginesAgree(P, Code, [](DataStore &) {},
+                                      {"a", "b", "c", "d"}, {});
+  ASSERT_FALSE(Tree.T) << Tree.T->render();
+  EXPECT_EQ(Tree.Ints["d"], (std::vector<int64_t>(4, -7)));
+}
+
+TEST(NativeEngine, WideMachineFrameLivesOnTheHeap) {
+  // At 8192 lanes the register arrays outgrow a thread's stack: the
+  // module carves its frame out of one heap block instead, and must
+  // still match bytecode bit for bit.
+  ExampleSpec Spec = paperExampleSpec();
+  transform::PipelineOptions PO;
+  PO.AssumeInnerMinOneTrip = true;
+  auto C = transform::compileForSimdExec(makeExample(Spec), PO);
+  ASSERT_TRUE(static_cast<bool>(C));
+  machine::MachineConfig M = lanes(8192, machine::Layout::Cyclic);
+  EXPECT_NE(codegen::emitCpp(*C->Code, C->Prog, M).find("std::calloc"),
+            std::string::npos);
+  SimdRunResult R[2];
+  std::vector<int64_t> X[2];
+  int I = 0;
+  for (Engine E : {Engine::Bytecode, Engine::Native}) {
+    RunOptions O;
+    O.Eng = E;
+    O.WorkTargets = {"X"};
+    SimdInterp Interp(C->Prog, M, nullptr, O);
+    Interp.setCompiled(C->Code);
+    Interp.store().setInt("K", Spec.K);
+    Interp.store().setIntArray("L", Spec.L);
+    R[I] = Interp.run().value();
+    X[I] = Interp.store().getIntArray("X");
+    ++I;
+  }
+  if (codegen::nativeAvailable()) {
+    EXPECT_EQ(R[1].EngineUsed, Engine::Native);
+  }
+  EXPECT_EQ(X[0], X[1]);
+  expectSameStats(R[0].Stats, R[1].Stats);
+  expectSameTripNests(R[0].Stats, R[1].Stats);
 }
 
 TEST(NativeEngine, DegradesToBytecodeWithoutCompiler) {

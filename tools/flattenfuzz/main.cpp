@@ -274,7 +274,9 @@ int runCampaign(const CliOptions &Opts) {
   CampaignOptions CO;
   CO.BaseSeed = Opts.Seed;
   CO.Count = static_cast<int>(Opts.Count);
-  CampaignResult CR = runFaultCampaign(CO);
+  OracleOptions OO;
+  OO.Native = Opts.Native;
+  CampaignResult CR = runFaultCampaign(CO, OO);
   for (const std::string &F : CR.Failures)
     std::fprintf(stderr, "flattenfuzz: %s\n", F.c_str());
   std::printf("flattenfuzz: campaign ran %d fault cases (%d trapped), "
