@@ -252,11 +252,20 @@ private:
     }
     return EP.Msgs[static_cast<size_t>(M)];
   }
+  // lit, cost and flatExpr append piecewise: GCC 12's -O2
+  // -Werror=restrict misfires on `"lit" + std::string&&` chains.
   /// C++ string literal for \p S.
   static std::string lit(const std::string &S) {
-    return "\"" + escapeString(S) + "\"";
+    std::string Out = "\"";
+    Out += escapeString(S);
+    Out += '"';
+    return Out;
   }
-  std::string cost(CostKind K) { return "C" + i2s(static_cast<int>(K)); }
+  std::string cost(CostKind K) {
+    std::string Out = "C";
+    Out += i2s(static_cast<int>(K));
+    return Out;
+  }
   /// One charge of \p Cycles (a C++ expression) at \p Loc.
   void charge(const std::string &Cycles, const std::string &Loc) {
     ln("    sfCharge(" + Cycles + ", " + Loc + ");");
@@ -635,7 +644,9 @@ std::string Emitter::flatExpr(const SlotFacts &S, const int32_t *Ops,
     int64_t Extent = Dim < static_cast<int32_t>(S.Dims.size())
                          ? S.Dims[static_cast<size_t>(Dim)]
                          : 0;
-    std::string Idx = "(" + iv(Ops[1 + Dim]) + " - 1)";
+    std::string Idx = "(";
+    Idx += iv(Ops[1 + Dim]);
+    Idx += " - 1)";
     E = Dim == 0 ? Idx : "(" + E + ") * " + i2s(Extent) + " + " + Idx;
   }
   return E;

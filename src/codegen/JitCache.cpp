@@ -24,13 +24,36 @@
 using namespace simdflat;
 using namespace simdflat::codegen;
 
+namespace {
+
+// -ffp-contract=off: the emitted loops must not fuse a mul+add that the
+// bytecode engine executes as two rounded instructions, or the
+// three-engine oracle loses FP bit-identity. -march=native is safe for
+// a JIT (artifacts never leave the host that compiled them) and lets
+// the per-lane loops vectorize; -fno-math-errno frees sqrt to inline
+// (the emitted code pre-sweeps negative operands exactly like the
+// interpreter, so errno was already dead). Both keep every operation
+// individually IEEE-rounded. -w: generated code has unused
+// labels/locals by construction. A sanitized build appends its own
+// sanitizer flags.
+constexpr const char JitFlags[] =
+    "-std=c++20 -O3 -march=native -fno-math-errno -fPIC -shared"
+    " -ffp-contract=off -w " SIMDFLAT_JIT_SANITIZE;
+
+} // namespace
+
 uint64_t codegen::sourceKey(const std::string &Source) {
-  // FNV-1a 64.
+  // FNV-1a 64 over the compile flags, then the source: a sanitized and
+  // a plain build never share an artifact.
   uint64_t H = 14695981039346656037ULL;
-  for (unsigned char C : Source) {
+  auto Mix = [&H](unsigned char C) {
     H ^= C;
     H *= 1099511628211ULL;
-  }
+  };
+  for (const char *F = JitFlags; *F; ++F)
+    Mix(static_cast<unsigned char>(*F));
+  for (unsigned char C : Source)
+    Mix(C);
   return H;
 }
 
@@ -108,15 +131,6 @@ SfNativeRunFn buildOne(const std::string &Source, uint64_t Key,
       return nullptr;
     }
 
-    // -ffp-contract=off: the emitted loops must not fuse a mul+add that
-    // the bytecode engine executes as two rounded instructions, or the
-    // three-engine oracle loses FP bit-identity. -march=native is safe
-    // for a JIT (artifacts never leave the host that compiled them) and
-    // lets the per-lane loops vectorize; -fno-math-errno frees sqrt to
-    // inline (the emitted code pre-sweeps negative operands exactly
-    // like the interpreter, so errno was already dead). Both keep every
-    // operation individually IEEE-rounded. -w: generated code has
-    // unused labels/locals by construction.
     // PID-suffixed like the source temp: two processes compiling one
     // key must not link into the same file, or the loser's rename
     // fails and caches a spurious failure.
@@ -124,10 +138,8 @@ SfNativeRunFn buildOne(const std::string &Source, uint64_t Key,
         Dir / (std::string(Name) + ".so.tmp" +
                std::to_string(static_cast<long>(::getpid())));
     std::ostringstream Cmd;
-    Cmd << "\"" << compilerPath() << "\""
-        << " -std=c++20 -O3 -march=native -fno-math-errno -fPIC -shared"
-        << " -ffp-contract=off -w"
-        << " -o \"" << SoTmp.string() << "\" \"" << Cpp.string() << "\""
+    Cmd << "\"" << compilerPath() << "\" " << JitFlags << " -o \""
+        << SoTmp.string() << "\" \"" << Cpp.string() << "\""
         << " 2> \"" << Log.string() << "\"";
     if (std::system(Cmd.str().c_str()) != 0) {
       std::filesystem::remove(SoTmp, EC);

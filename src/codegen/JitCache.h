@@ -7,10 +7,10 @@
 /// \file
 /// Turns emitted C++ source (codegen::CppEmitter) into a loaded native
 /// entry point: shells out to the host compiler, dlopen's the shared
-/// object, and caches the result keyed by a hash of the source text.
-/// Artifacts live under $SIMDFLAT_JIT_DIR (default: a per-user
-/// directory under the system temp dir), so identical programs compile
-/// once per machine, not once per process.
+/// object, and caches the result keyed by a hash of the compile flags
+/// and the source text. Artifacts live under $SIMDFLAT_JIT_DIR
+/// (default: a per-user directory under the system temp dir), so
+/// identical programs compile once per machine, not once per process.
 ///
 /// Failure is a first-class outcome, not an error: when the build was
 /// configured with SIMDFLAT_ENABLE_JIT=OFF, when the configured
@@ -63,8 +63,9 @@ SfNativeRunFn getOrCompile(const std::string &Source);
 /// Process-wide counters (copied under the cache lock).
 JitStats jitStats();
 
-/// The FNV-1a 64-bit hash of \p Source - the cache key, also the
-/// artifact base name. Exposed for tests and cache-key plumbing.
+/// The FNV-1a 64-bit hash of the JIT compile flags followed by
+/// \p Source - the cache key, also the artifact base name. Exposed for
+/// tests and cache-key plumbing.
 uint64_t sourceKey(const std::string &Source);
 
 } // namespace codegen

@@ -33,21 +33,6 @@ const char *interp::trapKindName(TrapKind K) {
   SIMDFLAT_UNREACHABLE("bad TrapKind");
 }
 
-bool interp::trapKindFromName(const std::string &Name, TrapKind &Out) {
-  static const TrapKind All[] = {
-      TrapKind::OutOfBounds,     TrapKind::DivByZero,
-      TrapKind::DomainError,     TrapKind::NonUniformControl,
-      TrapKind::FuelExhausted,   TrapKind::DeadlineExpired,
-      TrapKind::ExternFailure,   TrapKind::WriteConflict,
-      TrapKind::InvalidProgram};
-  for (TrapKind K : All)
-    if (Name == trapKindName(K)) {
-      Out = K;
-      return true;
-    }
-  return false;
-}
-
 std::string Trap::render() const {
   std::string Out = "trap: ";
   Out += trapKindName(Kind);

@@ -71,10 +71,6 @@ enum class TrapKind {
 /// Stable lowercase name for a kind ("out-of-bounds", "div-by-zero"...).
 const char *trapKindName(TrapKind K);
 
-/// Parses a trapKindName rendering back to the enum; false if \p Name
-/// matches none (the serving wire format round-trips traps through it).
-bool trapKindFromName(const std::string &Name, TrapKind &Out);
-
 /// One structured runtime fault.
 struct Trap {
   TrapKind Kind = TrapKind::InvalidProgram;

@@ -1,19 +1,18 @@
-//===- serve/FairQueue.h - Weighted-fair multi-tenant queue ----*- C++ -*-===//
+//===- serve/FairQueue.h - Round-robin multi-tenant queue ------*- C++ -*-===//
 //
 // Part of simdflat. MIT license.
 //
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// A deterministic weighted-fair queue over named tenants, used by the
+/// A deterministic round-robin queue over named tenants, used by the
 /// Server's dequeue path so one hot tenant cannot starve another: each
-/// tenant owns a FIFO sub-queue, and pop() picks the tenant by stride
-/// scheduling - every tenant carries a pass value advanced by
-/// StrideUnit / weight per dequeue, and the smallest pass (ties broken
-/// by tenant name) goes next. A tenant with weight 2 therefore drains
-/// twice as fast as a weight-1 tenant, and a newly active tenant is
-/// aligned to the current minimum pass so it cannot replay the credit
-/// it accumulated while idle.
+/// tenant with queued work owns a FIFO lane, and pop() serves the lanes
+/// in turn, in the order their tenants became active. A lane exists
+/// only from the push that activates its tenant to the pop of its last
+/// job, so a tenant that goes idle holds nothing and rejoins at the back
+/// of the turn order with no banked credit. Memory and dequeue cost are
+/// bounded by the queued entries, never by the tenant names seen.
 ///
 /// The class is single-threaded on purpose (the Server already holds
 /// its queue mutex around every call); keeping it lock-free makes the
@@ -24,8 +23,6 @@
 #ifndef SIMDFLAT_SERVE_FAIRQUEUE_H
 #define SIMDFLAT_SERVE_FAIRQUEUE_H
 
-#include <algorithm>
-#include <cstdint>
 #include <deque>
 #include <map>
 #include <string>
@@ -36,22 +33,13 @@ namespace serve {
 
 template <typename T> class FairQueue {
 public:
-  /// Pass increment for weight 1; higher weights advance by
-  /// StrideUnit / weight. 840 = lcm(1..8), so small weights divide it
-  /// exactly and the schedule is integer-deterministic.
-  static constexpr uint64_t StrideUnit = 840;
-
-  /// Appends \p V to \p Tenant's sub-queue. \p Weight is clamped to
-  /// [1, StrideUnit] and re-read on every push (quota changes apply to
-  /// the next dequeue cycle).
-  void push(const std::string &Tenant, int Weight, T V) {
-    Lane &L = Lanes[Tenant];
-    L.Weight = std::clamp<int64_t>(Weight, 1, (int64_t)StrideUnit);
-    if (L.Jobs.empty())
-      // (Re)activation: start at the current active minimum so an idle
-      // tenant cannot burst ahead of everyone on stale low pass.
-      L.Pass = std::max(L.Pass, minActivePass());
-    L.Jobs.push_back(std::move(V));
+  /// Appends \p V to \p Tenant's lane; the first entry of an idle
+  /// tenant opens its lane at the back of the turn order.
+  void push(const std::string &Tenant, T V) {
+    auto [It, Activated] = Lanes.try_emplace(Tenant);
+    if (Activated)
+      Turns.push_back(It);
+    It->second.push_back(std::move(V));
     ++Total;
   }
 
@@ -61,30 +49,31 @@ public:
   /// Queued entries for one tenant (per-tenant queue-share caps).
   size_t sizeOf(const std::string &Tenant) const {
     auto It = Lanes.find(Tenant);
-    return It == Lanes.end() ? 0 : It->second.Jobs.size();
+    return It == Lanes.end() ? 0 : It->second.size();
   }
 
-  /// Removes and returns the next entry under the fairness policy.
-  /// Undefined when empty() - callers check first (the Server pops
-  /// under its queue lock after a cv wait).
+  /// Tenants with queued entries (each owns one lane).
+  size_t lanes() const { return Lanes.size(); }
+
+  /// Removes and returns the front entry of the lane whose turn it is;
+  /// that lane goes to the back of the turn order, or closes when it is
+  /// empty. Undefined when empty() - callers check first (the Server
+  /// pops under its queue lock after a cv wait).
   std::pair<std::string, T> pop() {
-    auto Best = Lanes.end();
-    for (auto It = Lanes.begin(); It != Lanes.end(); ++It) {
-      if (It->second.Jobs.empty())
-        continue;
-      if (Best == Lanes.end() || It->second.Pass < Best->second.Pass)
-        Best = It;
-    }
-    Lane &L = Best->second;
-    T V = std::move(L.Jobs.front());
-    L.Jobs.pop_front();
-    L.Pass += StrideUnit / (uint64_t)L.Weight;
+    auto It = Turns.front();
+    Turns.pop_front();
+    std::pair<std::string, T> Out{It->first, std::move(It->second.front())};
+    It->second.pop_front();
     --Total;
-    return {Best->first, std::move(V)};
+    if (It->second.empty())
+      Lanes.erase(It);
+    else
+      Turns.push_back(It);
+    return Out;
   }
 
   /// Drains every queued entry (shutdown/drain-deadline sweep),
-  /// invoking \p Fn(tenant, entry) in fair-schedule order.
+  /// invoking \p Fn(tenant, entry) in round-robin order.
   template <typename Fn> void drainAll(Fn &&F) {
     while (!empty()) {
       auto [Tenant, V] = pop();
@@ -93,26 +82,12 @@ public:
   }
 
 private:
-  struct Lane {
-    std::deque<T> Jobs;
-    uint64_t Pass = 0;
-    int64_t Weight = 1;
-  };
+  using LaneMap = std::map<std::string, std::deque<T>>;
 
-  uint64_t minActivePass() const {
-    uint64_t Min = 0;
-    bool Any = false;
-    for (const auto &[Name, L] : Lanes)
-      if (!L.Jobs.empty() && (!Any || L.Pass < Min)) {
-        Min = L.Pass;
-        Any = true;
-      }
-    return Min;
-  }
-
-  /// std::map: deterministic (lexicographic) tie-breaking for equal
-  /// pass values.
-  std::map<std::string, Lane> Lanes;
+  /// Busy tenants' lanes (std::map: iterators stay valid in Turns).
+  LaneMap Lanes;
+  /// One entry per lane: whose turn is next, front first.
+  std::deque<typename LaneMap::iterator> Turns;
   size_t Total = 0;
 };
 

@@ -61,9 +61,6 @@ enum class Outcome {
 /// Stable lowercase name ("served", "trapped", "shed", "compile-error").
 const char *outcomeName(Outcome O);
 
-/// Parses an outcome name; false if \p Name matches none.
-bool outcomeFromName(const std::string &Name, Outcome &Out);
-
 /// The tenant a request lands on when it names none.
 inline const char *defaultTenant() { return "default"; }
 
@@ -77,17 +74,14 @@ struct TenantQuota {
   int64_t Burst = 8;
   /// Admitted-but-unresolved requests allowed at once (0 = unmetered).
   int64_t MaxInFlight = 0;
-  /// Fuel tokens refilled per second (0 = fuel unmetered). A metered
-  /// tenant must declare Request::Fuel > 0 or admission refuses.
+  /// Fuel tokens refilled per second (0 = fuel unmetered). The bucket
+  /// holds one second of refill. A metered tenant must declare
+  /// Request::Fuel > 0 or admission refuses.
   double FuelPerSec = 0;
-  /// Fuel bucket capacity (0: one second's refill, i.e. FuelPerSec).
-  int64_t FuelBurst = 0;
   /// Entries this tenant may hold in the admission queue at once
   /// (0 = bounded only by the global queue capacity), so one hot tenant
   /// cannot monopolize the shared queue.
   int64_t MaxQueued = 0;
-  /// Weighted-fair dequeue share (see FairQueue).
-  int Weight = 1;
 };
 
 /// Per-tenant outcome counters. Sheds are split at the admission
@@ -124,8 +118,8 @@ struct Request {
   /// Caller-chosen id echoed in the reply (replies complete out of
   /// submission order).
   uint64_t Id = 0;
-  /// Tenant the request is accounted to (quotas, fair dequeue, cache
-  /// occupancy). Empty maps to defaultTenant().
+  /// Tenant the request is accounted to (quotas, round-robin dequeue,
+  /// cache occupancy). Empty maps to defaultTenant().
   std::string Tenant;
   /// Program source (the flattenc mini-Fortran dialect).
   std::string Source;

@@ -258,128 +258,3 @@ json::Value serve::toJson(const ServerStats &S) {
   O.set("tenants_consistent", S.tenantsConsistent());
   return O;
 }
-
-Expected<Reply, std::string> serve::parseReply(const json::Value &V) {
-  if (!V.isObject())
-    return std::string("reply must be a JSON object");
-
-  static const char *Known[] = {"id",        "outcome",       "error",
-                                "trap",      "retry_after_ms", "draining",
-                                "int_arrays", "telemetry"};
-  for (const auto &[Key, Val] : V.members()) {
-    (void)Val;
-    bool Ok = false;
-    for (const char *K : Known)
-      if (Key == K) {
-        Ok = true;
-        break;
-      }
-    if (!Ok)
-      return "unknown reply field '" + Key + "'";
-  }
-
-  Reply R;
-  std::string Err;
-  int64_t Id = 0;
-  if (!readInt(V, "id", Id, Err))
-    return Err;
-  R.Id = (uint64_t)Id;
-
-  const json::Value *Out = V.get("outcome");
-  if (!Out || !Out->isString())
-    return std::string("reply needs a string 'outcome' field");
-  if (!outcomeFromName(Out->asString(), R.Out))
-    return "unknown outcome '" + Out->asString() + "'";
-
-  if (const json::Value *E = V.get("error")) {
-    if (!E->isString())
-      return std::string("field 'error' must be a string");
-    R.Error = E->asString();
-  }
-  if (!readBool(V, "draining", R.Draining, Err))
-    return Err;
-
-  // The shed contract: a shed reply without a usable retry hint leaves
-  // the client guessing, so absence and negatives are both protocol
-  // violations (0 is meaningful: retrying is pointless).
-  const json::Value *Retry = V.get("retry_after_ms");
-  if (R.Out == Outcome::Shed) {
-    if (!Retry)
-      return std::string("shed reply is missing 'retry_after_ms'");
-    if (!Retry->isInt())
-      return std::string("field 'retry_after_ms' must be an integer");
-    R.RetryAfterMs = Retry->asInt();
-    if (R.RetryAfterMs < 0)
-      return std::string("'retry_after_ms' must be >= 0");
-  } else if (Retry) {
-    return "'retry_after_ms' is only valid on shed replies, not '" +
-           std::string(outcomeName(R.Out)) + "'";
-  }
-
-  if (const json::Value *T = V.get("trap")) {
-    if (!T->isObject())
-      return std::string("field 'trap' must be an object");
-    interp::Trap Trap;
-    const json::Value *Kind = T->get("kind");
-    if (!Kind || !Kind->isString())
-      return std::string("trap needs a string 'kind' field");
-    if (!interp::trapKindFromName(Kind->asString(), Trap.Kind))
-      return "unknown trap kind '" + Kind->asString() + "'";
-    Trap.Detail = T->get("detail") && T->get("detail")->isString()
-                      ? T->get("detail")->asString()
-                      : "";
-    Trap.Location = T->get("location") && T->get("location")->isString()
-                        ? T->get("location")->asString()
-                        : "";
-    if (const json::Value *Lanes = T->get("lanes")) {
-      if (!Lanes->isArray())
-        return std::string("'trap.lanes' must be an array");
-      for (size_t I = 0; I < Lanes->size(); ++I) {
-        if (!Lanes->at(I).isInt())
-          return std::string("'trap.lanes' must hold only integers");
-        Trap.Lanes.push_back(Lanes->at(I).asInt());
-      }
-    }
-    R.T = std::move(Trap);
-  }
-
-  if (!readArrayMap<int64_t>(V, "int_arrays", R.IntArrays, Err))
-    return Err;
-
-  if (const json::Value *Tele = V.get("telemetry")) {
-    if (!Tele->isObject())
-      return std::string("field 'telemetry' must be an object");
-    if (const json::Value *Eng = Tele->get("engine")) {
-      if (!Eng->isString())
-        return std::string("'telemetry.engine' must be a string");
-      R.Tele.Engine = Eng->asString();
-    }
-    if (const json::Value *Ten = Tele->get("tenant")) {
-      if (!Ten->isString())
-        return std::string("'telemetry.tenant' must be a string");
-      R.Tele.Tenant = Ten->asString();
-    }
-    if (!readInt(*Tele, "queue_nanos", R.Tele.QueueNanos, Err) ||
-        !readInt(*Tele, "compile_nanos", R.Tele.CompileNanos, Err) ||
-        !readInt(*Tele, "run_nanos", R.Tele.RunNanos, Err) ||
-        !readInt(*Tele, "fuel_spent", R.Tele.FuelSpent, Err))
-      return Err;
-    if (const json::Value *Cyc = Tele->get("cycles_spent")) {
-      if (!Cyc->isNumber())
-        return std::string("'telemetry.cycles_spent' must be a number");
-      R.Tele.CyclesSpent = Cyc->asDouble();
-    }
-    if (!readBool(*Tele, "cache_hit", R.Tele.CacheHit, Err) ||
-        !readBool(*Tele, "coalesced_compile", R.Tele.CoalescedCompile, Err) ||
-        !readBool(*Tele, "fallback", R.Tele.Fallback, Err))
-      return Err;
-    if (const json::Value *Strat = Tele->get("strategy")) {
-      if (!Strat->isString())
-        return std::string("'telemetry.strategy' must be a string");
-      R.Tele.Strategy = Strat->asString();
-    }
-    if (!readInt(*Tele, "strategy_epoch", R.Tele.StrategyEpoch, Err))
-      return Err;
-  }
-  return R;
-}

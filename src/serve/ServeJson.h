@@ -31,16 +31,8 @@ namespace serve {
 /// rendering of the first problem on malformed input.
 Expected<Request, std::string> parseRequest(const json::Value &V);
 
-/// Parses one reply object, as strictly as parseRequest parses
-/// requests: unknown top-level fields are rejected, "outcome" must be a
-/// valid outcome name, and a shed reply MUST carry a non-negative
-/// integer "retry_after_ms" - a shed without a usable retry hint (or
-/// with a negative one) is a protocol violation, not a backoff of -1
-/// milliseconds. Clients use this to validate what the daemon sends;
-/// the campaign uses it to pin the wire contract.
-Expected<Reply, std::string> parseReply(const json::Value &V);
-
-/// The reply object sent back over the wire.
+/// The reply object sent back over the wire. A shed reply always
+/// carries a non-negative "retry_after_ms"; no other reply carries one.
 json::Value toJson(const Reply &R);
 
 /// The per-request accounting record for the telemetry log: the

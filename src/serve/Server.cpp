@@ -79,6 +79,10 @@ std::string validateInputs(const ir::Program &P, const Request &R) {
   return "";
 }
 
+/// Total-variation distance (0..1) between the probe window and the
+/// decision snapshot beyond which the adaptive layer re-decides.
+constexpr double DriftThreshold = 0.25;
+
 /// Total-variation distance between two trip histograms viewed as
 /// probability distributions over the shared (exact + log2) buckets:
 /// 0.0 for identical shapes, 1.0 for disjoint support. Sample-count
@@ -122,20 +126,6 @@ const char *serve::outcomeName(Outcome O) {
     return "compile-error";
   }
   return "shed";
-}
-
-bool serve::outcomeFromName(const std::string &Name, Outcome &Out) {
-  if (Name == "served")
-    Out = Outcome::Served;
-  else if (Name == "trapped")
-    Out = Outcome::Trapped;
-  else if (Name == "shed")
-    Out = Outcome::Shed;
-  else if (Name == "compile-error")
-    Out = Outcome::CompileError;
-  else
-    return false;
-  return true;
 }
 
 Server::Server(ServerOptions O)
@@ -277,7 +267,7 @@ std::future<Reply> Server::submit(Request R) {
     }
     Tenants.countAdmitted(Tenant);
     ++Unresolved;
-    Queue.push(Tenant, Q.Weight, std::move(J));
+    Queue.push(Tenant, std::move(J));
   }
   QueueCv.notify_one();
   return F;
@@ -402,26 +392,13 @@ void Server::recordObservedTrips(
   {
     std::lock_guard<std::mutex> Lock(AdaptiveM);
     AdaptiveState &S = AdaptiveStates[BaseKey];
-    if (Opts.AdaptiveWindow > 0) {
-      // Recency-weighted mode: the evaluation window is exactly the
-      // last AdaptiveWindow probe runs, rebuilt from the ring, so old
-      // observations age out instead of accumulating forever.
-      S.Ring.push_back(Nests);
-      while (static_cast<int64_t>(S.Ring.size()) > Opts.AdaptiveWindow)
-        S.Ring.pop_front();
-      S.Window.clear();
-      for (const std::vector<interp::NestTripStats> &Run : S.Ring)
-        interp::mergeTripNests(S.Window, Run);
-    } else {
-      interp::mergeTripNests(S.Window, Nests);
-    }
+    interp::mergeTripNests(S.Window, Nests);
     const interp::NestTripStats *Dom = analysis::dominantTripNest(S.Window);
     if (!Dom || Dom->Hist.Samples < Opts.AdaptiveMinSamples)
       return;
     bool Decide = !S.Policy.has_value();
     if (!Decide)
-      Decide = totalVariation(Dom->Hist, S.Snapshot) >
-               Opts.AdaptiveDriftThreshold;
+      Decide = totalVariation(Dom->Hist, S.Snapshot) > DriftThreshold;
     if (!Decide)
       return;
     analysis::StrategyCosts Costs;
@@ -434,7 +411,6 @@ void Server::recordObservedTrips(
     S.Policy = transform::StrategyPolicy::fromChoice(C);
     S.Snapshot = Dom->Hist;
     S.Window.clear();
-    S.Ring.clear();
     ++S.Epoch;
     Decided = true;
   }
@@ -494,87 +470,109 @@ Reply Server::process(Job &J) {
     return Rep;
   }
 
-  // Compile (or fetch) the primary flattened program; degrade to the
-  // unflattened fallback when the primary's verdict is a failure.
-  transform::PipelineOptions Primary;
-  Primary.Layout = Opts.Layout;
-  Primary.Flatten = true;
-  Primary.AssumeInnerMinOneTrip = R.MinOne;
-  // Adaptive strategy selection: the strategy-free key identifies the
-  // program across all its strategy variants; the routed policy rides
-  // into the pipeline options, which changes the canonical key below -
-  // so differently-strategized compiles coexist in the cache and a
-  // respecialization is an ordinary single-flight miss.
-  uint64_t BaseKey = 0;
+  // Compile through one ordered list of builds and serve the first
+  // success: the adaptive route (adaptive mode only), the static
+  // flattened build, then the unflattened fallback. Their canonical
+  // keys differ (the strategy and flatten fields), so each is looked up
+  // once; a failure verdict is cached like a program, so a poisoned key
+  // costs one pipeline run per cache residency.
+  enum class Build { Routed, Static, Fallback };
+  struct Candidate {
+    Build Kind;
+    const char *Name;
+    transform::PipelineOptions Opts;
+  };
+  transform::PipelineOptions Static;
+  Static.Layout = Opts.Layout;
+  Static.Flatten = true;
+  Static.AssumeInnerMinOneTrip = R.MinOne;
+  // The fallback is always the plain unflattened program - never a
+  // strategy variant - so its key and behaviour match the static
+  // server's and a bad adaptive choice cannot poison the degraded path.
+  transform::PipelineOptions Unflattened = Static;
+  Unflattened.Flatten = false;
+  std::vector<Candidate> Builds;
+  // Adaptive strategy selection: the static build's key is the base key
+  // that identifies the program across all its strategy variants; the
+  // routed policy rides into the pipeline options, which changes the
+  // canonical key - so differently-strategized compiles coexist in the
+  // cache and a respecialization is an ordinary single-flight miss.
+  std::optional<uint64_t> BaseKey;
   bool ProfileThisRun = false;
   if (Opts.Adaptive) {
-    BaseKey = transform::canonicalKey(Prog, Primary).Hash;
-    AdaptiveRoute Route = adaptiveRoute(BaseKey);
-    Primary.Strategy = Route.Policy;
+    BaseKey = transform::canonicalKey(Prog, Static).Hash;
+    AdaptiveRoute Route = adaptiveRoute(*BaseKey);
+    transform::PipelineOptions Routed = Static;
+    Routed.Strategy = Route.Policy;
+    Builds.push_back({Build::Routed, "routed", Routed});
     Tele.Strategy = analysis::strategyName(Route.Policy.Chosen);
     Tele.StrategyEpoch = Route.Epoch;
     ProfileThisRun = Route.Probe;
   }
-  transform::CanonicalKey PK = transform::canonicalKey(Prog, Primary);
+  Builds.push_back({Build::Static, "primary", Static});
+  Builds.push_back({Build::Fallback, "fallback", Unflattened});
 
   Clock::time_point CompileStart = Clock::now();
-  uint64_t FallbackKey = 0;
-  ProgramCache::Outcome CO = Cache.getOrCompile(
-      PK.Hash,
-      [&]() -> Expected<transform::CompiledSimdProgram,
-                        transform::PipelineError> {
-        if (Opts.Faults.FailPrimary)
-          return transform::PipelineError{
-              "flatten", {"injected failure (fault plan: fail primary)"}};
-        return transform::compileForSimdExec(Prog, Primary);
-      },
-      J.Tenant);
-  Tele.CacheHit = CO.Hit;
-  Tele.CoalescedCompile = CO.Waited;
-  std::shared_ptr<const transform::CompiledSimdProgram> Code = CO.Prog;
-
-  if (!Code) {
-    // The primary verdict is a failure: serve the unflattened program.
-    // Its pipeline skips the flattener - the stage the fault plan
-    // injects into - so the fallback is the degraded-but-alive path.
-    transform::PipelineOptions FB = Primary;
-    FB.Flatten = false;
-    // The fallback is always the plain unflattened program - never a
-    // strategy variant - so its key and behaviour match the static
-    // server's and a bad adaptive choice cannot poison the degraded
-    // path.
-    FB.Strategy.reset();
-    FallbackKey = transform::canonicalKey(Prog, FB).Hash;
-    ProgramCache::Outcome FO = Cache.getOrCompile(
-        FallbackKey, [&] { return transform::compileForSimdExec(Prog, FB); },
+  std::vector<uint64_t> Keys;
+  std::string Errors;
+  std::shared_ptr<const transform::CompiledSimdProgram> Code;
+  Build ServedBy = Build::Fallback;
+  Tele.CacheHit = true;
+  for (const Candidate &C : Builds) {
+    uint64_t Key = C.Kind == Build::Static && BaseKey
+                       ? *BaseKey
+                       : transform::canonicalKey(Prog, C.Opts).Hash;
+    Keys.push_back(Key);
+    ProgramCache::Outcome O = Cache.getOrCompile(
+        Key,
+        [&]() -> Expected<transform::CompiledSimdProgram,
+                          transform::PipelineError> {
+          // The fault plan fails every build before the fallback, so the
+          // degraded path stays exercised and its verdicts stay cached.
+          if (Opts.Faults.FailPrimary && C.Kind != Build::Fallback)
+            return transform::PipelineError{
+                "flatten", {"injected failure (fault plan: fail primary)"}};
+          return transform::compileForSimdExec(Prog, C.Opts);
+        },
         J.Tenant);
-    Tele.CacheHit = Tele.CacheHit && FO.Hit;
-    Tele.CoalescedCompile = Tele.CoalescedCompile || FO.Waited;
-    if (!FO.Prog) {
-      Reply Rep = compileError(J, "primary pipeline: " + CO.Error +
-                                      "; fallback pipeline: " + FO.Error);
-      Rep.Tele = Tele;
-      Rep.Tele.CompileNanos = nanosSince(CompileStart);
-      return Rep;
+    Tele.CacheHit = Tele.CacheHit && O.Hit;
+    Tele.CoalescedCompile = Tele.CoalescedCompile || O.Waited;
+    if (O.Prog) {
+      Code = O.Prog;
+      ServedBy = C.Kind;
+      break;
     }
-    Code = FO.Prog;
-    Tele.Fallback = true;
-    Tele.Strategy = "static";
-    Tele.StrategyEpoch = 0;
-    {
-      std::lock_guard<std::mutex> Lock(StatsM);
-      ++Stats.FallbackServes;
-    }
+    if (!Errors.empty())
+      Errors += "; ";
+    Errors += C.Name;
+    Errors += " pipeline: ";
+    Errors += O.Error;
   }
   Tele.CompileNanos = nanosSince(CompileStart);
+  if (!Code) {
+    Reply Rep = compileError(J, Errors);
+    Rep.Tele = Tele;
+    return Rep;
+  }
+  if (ServedBy != Build::Routed) {
+    // The static or unflattened build serves: tagged static, and its
+    // trips feed no profile.
+    Tele.Strategy = "static";
+    Tele.StrategyEpoch = 0;
+    ProfileThisRun = false;
+  }
+  if (ServedBy == Build::Fallback) {
+    Tele.Fallback = true;
+    std::lock_guard<std::mutex> Lock(StatsM);
+    ++Stats.FallbackServes;
+  }
 
   if (Opts.Faults.EvictMidFlight) {
-    // The fault plan's eviction-under-execution probe: drop the entry
+    // The fault plan's eviction-under-execution probe: drop the entries
     // while this request still holds the shared_ptr. The run below must
     // be unaffected.
-    Cache.evict(PK.Hash);
-    if (FallbackKey)
-      Cache.evict(FallbackKey);
+    for (uint64_t Key : Keys)
+      Cache.evict(Key);
   }
 
   // Execute. The run inherits the request's whole budget envelope: fuel
@@ -643,11 +641,12 @@ Reply Server::process(Job &J) {
   Rep.Tele.Engine = interp::engineName(Out->EngineUsed);
   Rep.Tele.FuelSpent = Out->Stats.Instructions;
   Rep.Tele.CyclesSpent = Out->Stats.Cycles;
-  // Feed the profile from probe runs only: an exploit variant's loops
-  // report its own schedule, not the source trips, and a spell of
-  // fallback serves must not register as drift either.
-  if (ProfileThisRun && !Tele.Fallback && !Out->Stats.TripNests.empty())
-    recordObservedTrips(BaseKey, Out->Stats.TripNests, R.Lanes);
+  // Feed the profile from probe runs of the routed build only: an
+  // exploit variant's loops report its own schedule, not the source
+  // trips, and a spell of static or fallback serves must not register
+  // as drift either.
+  if (ProfileThisRun && !Out->Stats.TripNests.empty())
+    recordObservedTrips(*BaseKey, Out->Stats.TripNests, R.Lanes);
   if (R.WantArrays) {
     // Report arrays the *submitted* program declared (the pipeline may
     // add its own temporaries; those are not the caller's business).
@@ -732,10 +731,6 @@ ServerStats Server::stats() const {
   Out.CompilesCoalesced = CS.Waits;
   Out.Tenants = Tenants.statsSnapshot();
   return Out;
-}
-
-std::map<std::string, TenantStats> Server::tenantStats() const {
-  return Tenants.statsSnapshot();
 }
 
 size_t Server::queueDepth() const {

@@ -6,7 +6,7 @@
 ///
 /// \file
 /// The compile-once/run-many serving core behind flattend. A Server
-/// owns a worker thread pool fed by a bounded, weighted-fair admission
+/// owns a worker thread pool fed by a bounded, round-robin admission
 /// queue, the shared ProgramCache (byte-budgeted LRU + single-flight,
 /// caching each compile's verdict), and a TenantRegistry enforcing
 /// per-tenant quotas. Every submitted Request resolves to exactly one
@@ -18,16 +18,18 @@
 ///    at submit time; tenant quotas (request rate, in-flight, fuel
 ///    rate, queue share) shed with a refill-time hint before the
 ///    request touches the shared queue.
-///  * Fairness: the queue is a per-tenant stride-scheduled FairQueue,
-///    so a tenant flooding the server cannot starve another tenant's
-///    queued requests.
+///  * Fairness: the queue is a FairQueue that takes busy tenants in
+///    round robin, so a tenant flooding the server cannot starve
+///    another tenant's queued requests, and an idle tenant holds no
+///    queue state.
 ///  * Budgets: fuel bounds simulated work, the end-to-end deadline is
 ///    enforced in the queue (shed), through compilation (shed) and
 ///    inside the dispatch loop (DeadlineExpired trap); queue timeouts
 ///    shed before any work is spent.
-///  * Failure containment: program faults are Trapped replies; a
-///    primary-pipeline failure is a cached verdict that degrades every
-///    request for that program to the unflattened fallback, so each
+///  * Failure containment: program faults are Trapped replies; each
+///    request compiles through one ordered list of builds (the adaptive
+///    route, the static flattened build, the unflattened fallback) and
+///    serves the first success. A failure is a cached verdict, so each
 ///    key costs at most one pipeline run per cache residency; a
 ///    worker-side exception becomes a CompileError reply, not a dead
 ///    thread.
@@ -54,7 +56,6 @@
 #include "serve/TenantRegistry.h"
 
 #include <chrono>
-#include <deque>
 #include <future>
 #include <map>
 #include <thread>
@@ -113,32 +114,19 @@ struct ServerOptions {
   /// then the server picks the cheapest strategy (unflattened /
   /// flattened / coalesced) and non-probe requests compile under it -
   /// a new canonical key through the same single-flight cache, with
-  /// every AdaptiveProbeEvery-th request still probing. When the
-  /// probed distribution drifts past AdaptiveDriftThreshold
-  /// (total-variation distance against the decision-time snapshot),
-  /// the choice is recomputed; a changed choice is a respecialization.
-  /// Requires a bytecode-family engine (the tree engine reports no
-  /// trip histograms, so adaptive mode never leaves the probe phase
-  /// under it).
+  /// every AdaptiveProbeEvery-th request still probing. Probe
+  /// observations accumulate from the last decision onward; when their
+  /// distribution drifts past a total-variation distance of 0.25 from
+  /// the decision-time snapshot, the choice is recomputed, and a
+  /// changed choice is a respecialization. A request whose routed
+  /// build fails serves the static flattened build (tagged static,
+  /// epoch 0), which feeds no profile. Requires a bytecode-family
+  /// engine (the tree engine reports no trip histograms, so adaptive
+  /// mode never leaves the probe phase under it).
   bool Adaptive = false;
   /// Dominant-nest probe samples required before the first decision
   /// and before each drift evaluation window counts.
   int64_t AdaptiveMinSamples = 8;
-  /// Total-variation distance (0..1) between the post-decision probe
-  /// window and the decision snapshot beyond which the server
-  /// re-decides.
-  double AdaptiveDriftThreshold = 0.25;
-  /// Recency window for drift detection (flattend --adaptive-window).
-  /// 0 (the default) keeps the legacy behaviour: probe observations
-  /// accumulate from the last decision onward, so a drift that has
-  /// long since receded still weighs on the comparison. N > 0 keeps
-  /// only the N most recent probe runs in a ring; the drift
-  /// total-variation test sees just their merged histogram, so the
-  /// server re-decides on what the workload looks like *now* and a
-  /// transient spike ages out instead of poisoning the window forever.
-  /// AdaptiveMinSamples still gates each evaluation, so N must admit
-  /// at least that many dominant-nest samples for drift to ever fire.
-  int64_t AdaptiveWindow = 0;
   /// After a decision, probe (and profile) every Nth request; the rest
   /// exploit the decided strategy. 0 freezes the choice: no probes, no
   /// drift detection, until the server restarts. Irrelevant while the
@@ -176,8 +164,6 @@ public:
 
   /// Snapshot of the counters (cache/tenant numbers merged in).
   ServerStats stats() const;
-  /// Per-tenant counter snapshot (also embedded in stats()).
-  std::map<std::string, TenantStats> tenantStats() const;
 
   /// Requests currently queued (not yet picked up by a worker).
   size_t queueDepth() const;
@@ -209,13 +195,8 @@ private:
   /// one profile).
   struct AdaptiveState {
     /// Probe-observed per-nest trip stats since the last decision (the
-    /// drift evaluation window; cleared at each decision). With
-    /// ServerOptions::AdaptiveWindow > 0 this is rebuilt from Ring on
-    /// every probe instead of accumulating forever.
+    /// drift evaluation window; cleared at each decision).
     std::vector<interp::NestTripStats> Window;
-    /// The most recent probe runs' per-nest trip stats, newest last;
-    /// bounded by ServerOptions::AdaptiveWindow (unused when 0).
-    std::deque<std::vector<interp::NestTripStats>> Ring;
     /// Dominant-nest histogram the current policy was decided on.
     interp::TripHistogram Snapshot;
     /// Current policy; nullopt until the first decision (every request

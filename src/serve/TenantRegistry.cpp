@@ -28,6 +28,11 @@ int64_t refillMillis(double Deficit, double RatePerSec) {
   return std::max<int64_t>(1, (int64_t)Ms);
 }
 
+/// Fuel bucket capacity: one second of refill, whole tokens.
+double fuelCap(const TenantQuota &Q) {
+  return (double)(int64_t)Q.FuelPerSec;
+}
+
 } // namespace
 
 TenantRegistry::TenantRegistry(TenantQuota Default, ClockFn Clock)
@@ -60,8 +65,7 @@ void TenantRegistry::refillLocked(Entry &E, int64_t NowNanos) {
   if (!E.Primed) {
     // First sighting (or quota change): full buckets, clock anchored.
     E.ReqTokens = (double)std::max<int64_t>(E.Q.Burst, 1);
-    E.FuelTokens = (double)(E.Q.FuelBurst > 0 ? E.Q.FuelBurst
-                                              : (int64_t)E.Q.FuelPerSec);
+    E.FuelTokens = fuelCap(E.Q);
     E.LastRefillNanos = NowNanos;
     E.Primed = true;
     return;
@@ -72,10 +76,9 @@ void TenantRegistry::refillLocked(Entry &E, int64_t NowNanos) {
             // deterministic
   double Sec = (double)Dt / 1e9;
   double ReqCap = (double)std::max<int64_t>(E.Q.Burst, 1);
-  double FuelCap = (double)(E.Q.FuelBurst > 0 ? E.Q.FuelBurst
-                                              : (int64_t)E.Q.FuelPerSec);
   E.ReqTokens = std::min(ReqCap, E.ReqTokens + Sec * E.Q.RatePerSec);
-  E.FuelTokens = std::min(FuelCap, E.FuelTokens + Sec * E.Q.FuelPerSec);
+  E.FuelTokens =
+      std::min(fuelCap(E.Q), E.FuelTokens + Sec * E.Q.FuelPerSec);
   E.LastRefillNanos = NowNanos;
 }
 
@@ -115,8 +118,7 @@ TenantRegistry::Decision TenantRegistry::tryAdmit(const std::string &T,
       D.Permanent = true;
       return D;
     }
-    double FuelCap = (double)(E.Q.FuelBurst > 0 ? E.Q.FuelBurst
-                                                : (int64_t)E.Q.FuelPerSec);
+    double FuelCap = fuelCap(E.Q);
     if ((double)Fuel > FuelCap) {
       D.Admit = false;
       std::ostringstream OS;

@@ -11,9 +11,10 @@
 ///
 ///  * a request-rate token bucket (RatePerSec refill, Burst capacity),
 ///  * an in-flight cap (admitted-but-unresolved requests),
-///  * a fuel-rate token bucket so a tenant's total simulated work is
-///    metered, not just its request count,
-///  * a queue-share cap and fair-dequeue weight consumed by the Server.
+///  * a fuel-rate token bucket holding one second of refill, so a
+///    tenant's total simulated work is metered, not just its request
+///    count,
+///  * a queue-share cap consumed by the Server.
 ///
 /// Buckets are driven by an injectable nanosecond clock. Tests and the
 /// chaos campaign freeze it (a constant clock never refills, so a

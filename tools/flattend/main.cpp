@@ -6,13 +6,14 @@
 ///
 /// flattend: the compile-once/run-many face of the simdflat pipeline.
 /// Reads one JSON request per line from stdin (docs/SERVING.md), pushes
-/// each through the serve::Server (bounded weighted-fair admission
-/// queue, per-tenant quotas, compiled-program cache, unflattened
-/// fallback, per-request budgets), and writes one JSON reply per line to stdout in
-/// submission order. At end of input it prints a summary line with the
-/// server counters and self-checks the accounting invariant served +
-/// trapped + shed + compile-errors == submitted, globally and per
-/// tenant.
+/// each through the serve::Server (bounded round-robin admission queue,
+/// per-tenant quotas, compiled-program cache, unflattened fallback,
+/// per-request budgets), and writes one JSON reply per line to stdout in
+/// submission order, each as soon as it and every earlier reply are
+/// ready - a client holding its stream open gets answers as they
+/// complete. At end of input it prints a summary line with the server
+/// counters and self-checks the accounting invariant served + trapped +
+/// shed + compile-errors == submitted, globally and per tenant.
 ///
 /// Lifecycle: SIGINT/SIGTERM stop the input loop and drain gracefully -
 /// already-admitted requests finish (or shed with a structured draining
@@ -43,17 +44,22 @@
 
 #include <algorithm>
 #include <cerrno>
+#include <condition_variable>
 #include <csignal>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <deque>
+#include <exception>
 #include <fstream>
 #include <functional>
 #include <iostream>
+#include <mutex>
 #include <optional>
 #include <string>
-#include <vector>
+#include <thread>
 
+#include <pthread.h>
 #include <unistd.h>
 
 using namespace simdflat;
@@ -125,15 +131,6 @@ void usage() {
       "                           (default 8)\n"
       "  --adaptive-probe-every=N post-decision probe cadence (default\n"
       "                           8; 0 disables drift tracking)\n"
-      "  --adaptive-drift-percent=N\n"
-      "                           re-decide when the probe window's\n"
-      "                           total-variation distance from the\n"
-      "                           decision snapshot exceeds N%% (default\n"
-      "                           25)\n"
-      "  --adaptive-window=N      keep only the last N probe runs when\n"
-      "                           measuring drift, so transient spikes\n"
-      "                           age out (default 0: accumulate every\n"
-      "                           probe since the last decision)\n"
       "  --layout=cyclic|block    lane layout (default cyclic)\n"
       "  --engine=tree|bytecode|native\n"
       "                           execution engine (default bytecode;\n"
@@ -223,12 +220,6 @@ bool parseArgs(int Argc, char **Argv, CliOptions &Opts) {
        [](CliOptions &O, int64_t N) { O.Server.AdaptiveMinSamples = N; }},
       {"--adaptive-probe-every", 0,
        [](CliOptions &O, int64_t N) { O.Server.AdaptiveProbeEvery = N; }},
-      {"--adaptive-drift-percent", 0,
-       [](CliOptions &O, int64_t N) {
-         O.Server.AdaptiveDriftThreshold = (double)N / 100.0;
-       }},
-      {"--adaptive-window", 0,
-       [](CliOptions &O, int64_t N) { O.Server.AdaptiveWindow = N; }},
       {"--fault-worker-stall-micros", 0,
        [](CliOptions &O, int64_t N) {
          O.Server.Faults.WorkerStallMicros = N;
@@ -414,6 +405,102 @@ private:
   bool HadError = false;
 };
 
+/// Writes each reply line (and its telemetry record) in submission
+/// order as soon as that reply and every earlier one are ready, from a
+/// thread of its own, so a client holding stdin open is answered while
+/// the input loop blocks on its next line. Holds only the requests not
+/// answered yet.
+class ReplyWriter {
+public:
+  /// A submitted request's future, or the reply to a line that never
+  /// reached the server (bad JSON, truncated record).
+  struct Pending {
+    std::future<serve::Reply> F;
+    std::optional<serve::Reply> Immediate;
+  };
+
+  explicit ReplyWriter(std::ofstream &Telemetry)
+      : Telemetry(Telemetry), Thread([this] { run(); }) {}
+  ReplyWriter(const ReplyWriter &) = delete;
+  ReplyWriter &operator=(const ReplyWriter &) = delete;
+  ~ReplyWriter() { close(); }
+
+  void push(Pending P) {
+    {
+      std::lock_guard<std::mutex> Lock(M);
+      Queue.push_back(std::move(P));
+    }
+    Cv.notify_one();
+  }
+
+  /// No more pushes: waits until every reply is written and returns how
+  /// many were. Rethrows what stopped the writer, if anything did.
+  int64_t finish() {
+    close();
+    if (Failure)
+      std::rethrow_exception(Failure);
+    return Answered;
+  }
+
+private:
+  void close() {
+    {
+      std::lock_guard<std::mutex> Lock(M);
+      Closed = true;
+    }
+    Cv.notify_one();
+    if (Thread.joinable())
+      Thread.join();
+  }
+
+  void run() {
+    // The drain signals must interrupt the input loop's read(), never
+    // this thread's writes.
+    sigset_t Drain;
+    sigemptyset(&Drain);
+    sigaddset(&Drain, SIGINT);
+    sigaddset(&Drain, SIGTERM);
+    pthread_sigmask(SIG_BLOCK, &Drain, nullptr);
+    try {
+      for (;;) {
+        Pending P;
+        {
+          std::unique_lock<std::mutex> Lock(M);
+          Cv.wait(Lock, [&] { return Closed || !Queue.empty(); });
+          if (Queue.empty())
+            break;
+          P = std::move(Queue.front());
+          Queue.pop_front();
+        }
+        serve::Reply Rep =
+            P.Immediate ? std::move(*P.Immediate) : P.F.get();
+        ++Answered;
+        std::fputs((serve::toJson(Rep).dumpLine() + "\n").c_str(), stdout);
+        std::fflush(stdout);
+        if (Telemetry.is_open())
+          Telemetry << serve::telemetryJson(Rep).dumpLine() << "\n";
+      }
+      if (Telemetry.is_open())
+        Telemetry.flush();
+    } catch (...) {
+      // Forwarded by finish() to the top-level barrier (exit 4).
+      Failure = std::current_exception();
+    }
+  }
+
+  std::ofstream &Telemetry;
+  /// Guards Queue and Closed.
+  std::mutex M;
+  std::condition_variable Cv;
+  std::deque<Pending> Queue;
+  bool Closed = false;
+  /// Written by the writer thread only; read after it is joined.
+  int64_t Answered = 0;
+  std::exception_ptr Failure;
+  /// Last: starts once every member above is initialized.
+  std::thread Thread;
+};
+
 int realMain(int Argc, char **Argv) {
   CliOptions Opts;
   if (!parseArgs(Argc, Argv, Opts))
@@ -438,13 +525,10 @@ int realMain(int Argc, char **Argv) {
   serve::Server Server(Opts.Server);
 
   // Submit every line as it arrives (so the admission queue sees real
-  // pressure), remembering futures in submission order; bad JSON never
-  // reaches the server and is answered inline.
-  struct Pending {
-    std::future<serve::Reply> F;
-    std::optional<serve::Reply> Immediate;
-  };
-  std::vector<Pending> Replies;
+  // pressure) and hand its future to the writer in submission order;
+  // bad JSON never reaches the server and is answered inline.
+  ReplyWriter Writer(Telemetry);
+  int64_t Lines = 0;
   int64_t BadLines = 0;
   LineReader Reader;
   LineReader::Line Line;
@@ -463,9 +547,10 @@ int realMain(int Argc, char **Argv) {
       Rep.Error = "request line " + std::to_string(LineNo) +
                   " truncated by a stream I/O error after " +
                   std::to_string(Line.Text.size()) + " bytes";
-      Pending P;
+      ReplyWriter::Pending P;
       P.Immediate = std::move(Rep);
-      Replies.push_back(std::move(P));
+      Writer.push(std::move(P));
+      ++Lines;
       continue;
     }
     if (Line.Text.find_first_not_of(" \t\r") == std::string::npos) {
@@ -476,7 +561,7 @@ int realMain(int Argc, char **Argv) {
     // mid-record). If it still parses as a complete request it is
     // accepted; if not, the reply says "truncated", not "bad JSON".
     auto Parsed = json::Value::parse(Line.Text);
-    Pending P;
+    ReplyWriter::Pending P;
     if (!Parsed) {
       ++BadLines;
       serve::Reply Rep;
@@ -504,32 +589,21 @@ int realMain(int Argc, char **Argv) {
         P.F = Server.submit(std::move(*Req));
       }
     }
-    Replies.push_back(std::move(P));
+    Writer.push(std::move(P));
+    ++Lines;
   }
 
   // Graceful drain on SIGINT/SIGTERM: admission closes, everything
   // already admitted finishes (queued requests still unpicked at the
-  // hard deadline shed with the draining status), and every future
-  // below is ready once drain() returns.
+  // hard deadline shed with the draining status), and every future the
+  // writer still holds is ready once drain() returns.
   bool Drained = false;
   bool DrainClean = true;
   if (GSignal) {
     Drained = true;
     DrainClean = Server.drain(Opts.DrainDeadlineMs);
   }
-
-  int64_t Answered = 0;
-  for (Pending &P : Replies) {
-    serve::Reply Rep =
-        P.Immediate ? std::move(*P.Immediate) : P.F.get();
-    ++Answered;
-    std::fputs((serve::toJson(Rep).dumpLine() + "\n").c_str(), stdout);
-    std::fflush(stdout);
-    if (Telemetry.is_open())
-      Telemetry << serve::telemetryJson(Rep).dumpLine() << "\n";
-  }
-  if (Telemetry.is_open())
-    Telemetry.flush();
+  int64_t Answered = Writer.finish();
 
   // Summary + self-check: the four outcome buckets must partition the
   // submitted count (globally and per tenant), and every input line
@@ -539,7 +613,7 @@ int realMain(int Argc, char **Argv) {
   Summary.set("summary", true);
   Summary.set("engine", interp::engineName(Opts.Server.Eng));
   Summary.set("adaptive", Opts.Server.Adaptive);
-  Summary.set("lines", (int64_t)Replies.size());
+  Summary.set("lines", Lines);
   Summary.set("bad_lines", BadLines);
   Summary.set("answered", Answered);
   Summary.set("drained", Drained);
@@ -550,8 +624,7 @@ int realMain(int Argc, char **Argv) {
   std::fflush(stdout);
 
   bool Consistent = Stats.consistent() && Stats.tenantsConsistent() &&
-                    Answered == (int64_t)Replies.size() &&
-                    Stats.Submitted + BadLines == (int64_t)Replies.size();
+                    Answered == Lines && Stats.Submitted + BadLines == Lines;
   if (!Consistent) {
     std::fprintf(stderr, "flattend: accounting inconsistency: %s\n",
                  serve::toJson(Stats).dumpLine().c_str());
