@@ -41,11 +41,14 @@ public:
       Rep.record(Case, "real_time_ns", R.GetAdjustedRealTime(), "ns",
                  /*Gate=*/false);
       for (const auto &[Name, Counter] : R.counters) {
-        bool WallDerived =
-            (Counter.flags & benchmark::Counter::kIsRate) != 0;
-        Rep.record(Case, Name, Counter.value,
-                   WallDerived ? "per_s" : "",
-                   /*Gate=*/!WallDerived);
+        // A rate (items_per_second) is wall-derived, so informational,
+        // and more is better: perf_compare reads the direction from the
+        // baseline row.
+        bool Rate = (Counter.flags & benchmark::Counter::kIsRate) != 0;
+        Rep.record(Case, Name, Counter.value, Rate ? "per_s" : "",
+                   /*Gate=*/!Rate,
+                   Rate ? Direction::HigherIsBetter
+                        : Direction::LowerIsBetter);
       }
     }
   }

@@ -13,7 +13,10 @@
 // along ungated: its 16-lane grid is too small to amortize the ABI
 // boundary). measured_over_model records wall seconds against the
 // Sec. 6 cost model's predicted seconds so the emitted loops' real
-// overhead stays visible next to the model's claim.
+// overhead stays visible next to the model's claim. emitted_lane_loops
+// counts the lane loops codegen::emitCpp prints for each workload; it is
+// gated, so a change that splits fused statements back into one loop
+// per instruction fails CI.
 //
 // Builds without a JIT (SIMDFLAT_ENABLE_JIT=OFF) or hosts without a
 // toolchain skip with a message and exit 0: absence of a compiler is a
@@ -22,6 +25,7 @@
 //===----------------------------------------------------------------------===//
 
 #include "bench/BenchReporter.h"
+#include "codegen/CppEmitter.h"
 #include "codegen/NativeEngine.h"
 #include "interp/SimdInterp.h"
 #include "support/Format.h"
@@ -79,6 +83,17 @@ SimdRunResult runOnce(const Workload &W, Engine Eng, bool *CheckOk) {
   if (CheckOk)
     *CheckOk = !W.Check || W.Check(I.store());
   return R;
+}
+
+/// Lane loops in \p W's emitted module.
+int64_t emittedLaneLoops(const Workload &W) {
+  std::string Src = codegen::emitCpp(*W.Compiled.Code, W.Compiled.Prog,
+                                     machineFor(W.Lanes));
+  int64_t N = 0;
+  for (size_t P = Src.find("for (int64_t L"); P != std::string::npos;
+       P = Src.find("for (int64_t L", P + 1))
+    ++N;
+  return N;
 }
 
 bool sameStats(const RunStats &A, const RunStats &B) {
@@ -246,6 +261,8 @@ int main(int argc, char **argv) {
               W.GateSpeedup ? (GatePassed ? "pass" : "FAIL") : "-",
               formatf("%.3f", MeasuredOverModel)});
     Rep.recordRunStats(W.Name, NativeR.Stats);
+    Rep.record(W.Name, "emitted_lane_loops",
+               static_cast<double>(emittedLaneLoops(W)), "loops");
     Rep.record(W.Name, "bytecode_wall_seconds", ByteS, "s",
                /*Gate=*/false);
     Rep.record(W.Name, "native_wall_seconds", NativeS, "s",

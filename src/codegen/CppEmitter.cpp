@@ -7,15 +7,21 @@
 // Deviations allowed: scratch-only effects the interpreter never
 // observes (which lanes of a register an idle lane scribbles, whether a
 // masked commit rewrites an idle lane with its own bits, the mask
-// levels' bytes), and fast paths that provably reach the same result.
+// levels' bytes, whether a fused statement computes its registers and
+// mask levels before or after its charges), and fast paths that
+// provably reach the same result.
 //
 // Emission is two passes over flat per-program tables. The first is a
 // forward kind-and-constant dataflow over the lowered CFG: per block
 // entry, every register's static kind (or "undefined"/"mixed") and
 // known constant, plus the static mask depth. The second walks the code
-// in PC order, replays the same transfer function and prints each
-// reachable instruction with its operands' static kinds, so the module
-// carries no runtime kind tag and no mask-stack pointer.
+// in PC order, replays the transfer function and prints each reachable
+// instruction with its operands' static kinds, so the module carries no
+// runtime kind tag and no mask-stack pointer. A run of lane-local
+// instructions in one block - one statement, up to and including its
+// masked commit - prints as one fused lane loop that reads its own
+// definitions as loop-local scalars (docs/CODEGEN.md "Fused
+// statements").
 //
 //===----------------------------------------------------------------------===//
 
@@ -139,6 +145,18 @@ bool fallsThrough(Opcode Op) {
   return Op != Opcode::Jmp && Op != Opcode::Halt && Op != Opcode::TrapMsg;
 }
 
+/// A register or mask level the group being printed has not defined
+/// (read its array); a defined one maps to its definition's PC.
+constexpr int32_t NoLocal = -1;
+
+/// The pieces of one fused group, printed in this order.
+struct GroupText {
+  std::string Pre;     ///< work the interpreter does before the first charge
+  std::string Charges; ///< the group's sfCharge calls, in program order
+  std::string Body;    ///< the lane loop's body
+  std::string Tail;    ///< the commit's work-step record
+};
+
 class Emitter {
 public:
   Emitter(const Program &EP, const ir::Program &IRP,
@@ -174,6 +192,13 @@ private:
   /// Facts at the current program point (one row, reused).
   std::vector<RegFact> Cur;
   int32_t Depth = 0;
+  /// Scratch row: the facts at a group's start.
+  std::vector<RegFact> GroupIn;
+
+  // The group being printed (InGroup): each register's local, and each
+  // mask level's local value and condition (a PC, or NoLocal).
+  bool InGroup = false;
+  std::vector<int32_t> Local, MaskLocal, CondLocal;
 
   /// Per register: bit 0 = integer payload referenced, bit 1 = real.
   std::vector<uint8_t> RegUse;
@@ -193,6 +218,13 @@ private:
   void step(const Instr &I);
   void define(int32_t R, uint8_t Kind, bool HasConst = false,
               int64_t Bits = 0);
+  /// Whether \p I joins a fused group under the current facts.
+  bool fusible(const Instr &I);
+  /// Prints the group starting at \p PC as one lane loop; returns the
+  /// PC after it.
+  size_t emitGroup(size_t PC);
+  /// Adds the fused form of \p I to \p G.
+  void fuse(size_t PC, const Instr &I, GroupText &G);
   void emitInstr(size_t PC, const Instr &I);
   std::string frame(int64_t &Bytes, bool Heap);
   /// The constant a load puts in every lane: its kind and bits (a
@@ -280,6 +312,14 @@ private:
     RegUse[static_cast<size_t>(R)] |= 2;
     return "Rr" + i2s(R);
   }
+  /// Lane \p Ln of \p R's payload: the fused group's local when the
+  /// group defined it, the lane array otherwise.
+  std::string reg(int32_t R, bool Real, const std::string &Ln) {
+    int32_t D = InGroup ? Local[static_cast<size_t>(R)] : NoLocal;
+    if (D >= 0)
+      return "x" + i2s(D);
+    return (Real ? dstR(R) : dstI(R)) + "[" + Ln + "]";
+  }
   /// Integer/logical payload of \p R at lane \p Ln (a literal when the
   /// value is a known constant); a real register is refused.
   std::string iv(int32_t R, const std::string &Ln = "L") {
@@ -293,7 +333,7 @@ private:
     const RegFact &F = Cur[static_cast<size_t>(R)];
     if (F.HasConst)
       return literal(K, F.Bits);
-    return dstI(R) + "[" + Ln + "]";
+    return reg(R, false, Ln);
   }
   /// Real view of \p R (readReal): int and logical lanes widen.
   std::string rv(int32_t R, const std::string &Ln = "L") {
@@ -305,7 +345,7 @@ private:
       return "(double)" + iv(R, Ln);
     if (F.HasConst)
       return literal(K, F.Bits);
-    return dstR(R) + "[" + Ln + "]";
+    return reg(R, true, Ln);
   }
   /// readVec(R, K): the same kind reads as is, int/logical -> real
   /// widens, real -> int truncates; any other pairing is refused (the
@@ -336,10 +376,13 @@ private:
     return "(int64_t)sfOpaque(" + realLiteral(V) + ")";
   }
   /// Activity of lane \p Ln under the current (static-depth) mask; the
-  /// base level is all ones.
+  /// base level is all ones, and a level the fused group wrote is its
+  /// local.
   std::string act(const std::string &Ln = "L") {
     if (Depth == 0)
       return "1";
+    if (InGroup && MaskLocal[static_cast<size_t>(Depth)] >= 0)
+      return "m" + i2s(MaskLocal[static_cast<size_t>(Depth)]);
     return "MaskCur[" + i2s(Depth * Lanes) + " + " + Ln + "]";
   }
   std::string maskPtr() { return "MaskCur + " + i2s(Depth * Lanes); }
@@ -618,6 +661,321 @@ bool Emitter::analyze() {
   return true;
 }
 
+bool Emitter::fusible(const Instr &I) {
+  switch (I.Op) {
+  case Opcode::LdInt:
+  case Opcode::LdReal:
+  case Opcode::LdBool:
+  case Opcode::NumLanesOp:
+  case Opcode::LaneIdx:
+  case Opcode::Neg:
+  case Opcode::AbsOp:
+  case Opcode::NotOp:
+  case Opcode::AndOp:
+  case Opcode::OrOp:
+  case Opcode::CmpEq:
+  case Opcode::CmpNe:
+  case Opcode::CmpLt:
+  case Opcode::CmpLe:
+  case Opcode::CmpGt:
+  case Opcode::CmpGe:
+  case Opcode::AddI:
+  case Opcode::SubI:
+  case Opcode::MulI:
+  case Opcode::AddR:
+  case Opcode::SubR:
+  case Opcode::MulR:
+  case Opcode::DivR:
+  case Opcode::MaxMin:
+  case Opcode::WherePush:
+  case Opcode::WhereFlip:
+  case Opcode::FaLayerMask:
+    return true;
+  case Opcode::LdVar: {
+    const SlotFacts *S = slot(I.B);
+    return S && !S->IsArray; // a whole-array read traps
+  }
+  case Opcode::StVar: {
+    const SlotFacts *S = slot(I.A);
+    return S && S->Width != 1; // a control-variable store checks lanes
+  }
+  case Opcode::DivI:
+  case Opcode::ModI: {
+    // Only a literal divisor other than 0 and -1 cannot trap.
+    if (!validReg(I.C))
+      return false;
+    const RegFact &D = Cur[static_cast<size_t>(I.C)];
+    return D.HasConst && D.Bits != 0 && D.Bits != -1;
+  }
+  default:
+    return false;
+  }
+}
+
+size_t Emitter::emitGroup(size_t PC) {
+  // The extent: lane-local instructions up to and including the first
+  // masked commit. A FORALL layer mask writes its index slot before its
+  // charge, so it only ever leads a group (see fuse()).
+  GroupIn.assign(Cur.begin(), Cur.end());
+  int32_t Depth0 = Depth;
+  size_t End = PC;
+  for (size_t P = PC;; ++P) {
+    const Instr &I = EP.Code[P];
+    if (P > PC && (BlockAt[P] >= 0 || I.Op == Opcode::FaLayerMask ||
+                   !fusible(I)))
+      break;
+    End = P;
+    step(I);
+    if (Failed || I.Op == Opcode::StVar)
+      break;
+  }
+  std::copy(GroupIn.begin(), GroupIn.end(), Cur.begin());
+  Depth = Depth0;
+  if (Failed)
+    return End + 1;
+
+  GroupText G;
+  InGroup = true;
+  Local.assign(static_cast<size_t>(NumRegs), NoLocal);
+  MaskLocal.assign(static_cast<size_t>(MaxDepth) + 1, NoLocal);
+  CondLocal.assign(static_cast<size_t>(MaxDepth) + 1, NoLocal);
+  for (size_t P = PC; P <= End && !Failed; ++P) {
+    fuse(P, EP.Code[P], G);
+    step(EP.Code[P]);
+  }
+  InGroup = false;
+
+  if (IsTarget[PC])
+    ln("L" + i2s(static_cast<int64_t>(PC)) + ":;");
+  ln("  {");
+  Out += G.Pre;
+  Out += G.Charges;
+  ln("    for (int64_t L = 0; L < SF_LANES; ++L) {");
+  Out += G.Body;
+  ln("    }");
+  Out += G.Tail;
+  ln("  }");
+  return End + 1;
+}
+
+void Emitter::fuse(size_t PC, const Instr &I, GroupText &G) {
+  const std::string Loc = i2s(I.Loc);
+  auto chargeOf = [&](CostKind K) {
+    G.Charges += "    sfCharge(" + cost(K) + ", " + Loc + ");\n";
+  };
+  auto line = [&](const std::string &S) { G.Body += "      " + S + "\n"; };
+  std::string V; // the value I defines, of kind K
+  uint8_t K = KInt;
+  switch (I.Op) {
+  case Opcode::LdInt:
+  case Opcode::LdReal:
+  case Opcode::LdBool:
+  case Opcode::NumLanesOp: {
+    int64_t Bits;
+    if (!loadedConst(I, K, Bits)) {
+      Failed = true;
+      return;
+    }
+    V = literal(K, Bits);
+    break;
+  }
+  case Opcode::LdVar: {
+    const SlotFacts *S = slot(I.B);
+    if (!S)
+      return;
+    K = static_cast<uint8_t>(S->Kind);
+    V = "S" + i2s(I.B) + (S->Width == 1 ? "[0]" : "[L]");
+    break;
+  }
+  case Opcode::LaneIdx:
+    V = "L + 1";
+    break;
+  case Opcode::Neg:
+  case Opcode::AbsOp: {
+    bool IsAbs = I.Op == Opcode::AbsOp;
+    K = kindOf(I.B);
+    if (Failed)
+      return;
+    chargeOf(K == KReal ? CostKind::RealOp : CostKind::IntOp);
+    if (K == KReal)
+      V = (IsAbs ? "__builtin_fabs(" : "-(") + rv(I.B) + ")";
+    else
+      V = (IsAbs ? "std::llabs(" : "-(") + iv(I.B) + ")";
+    break;
+  }
+  case Opcode::NotOp:
+    K = kindOf(I.B);
+    chargeOf(CostKind::LogicOp);
+    V = "!" + iv(I.B);
+    break;
+  case Opcode::AndOp:
+  case Opcode::OrOp:
+    K = KBool;
+    chargeOf(CostKind::LogicOp);
+    V = "(int64_t)((" + iv(I.B) + " != 0) " +
+        (I.Op == Opcode::AndOp ? "&" : "|") + " (" + iv(I.C) + " != 0))";
+    break;
+  case Opcode::CmpEq:
+  case Opcode::CmpNe:
+  case Opcode::CmpLt:
+  case Opcode::CmpLe:
+  case Opcode::CmpGt:
+  case Opcode::CmpGe: {
+    const char *Op = I.Op == Opcode::CmpEq   ? " == "
+                     : I.Op == Opcode::CmpNe ? " != "
+                     : I.Op == Opcode::CmpLt ? " < "
+                     : I.Op == Opcode::CmpLe ? " <= "
+                     : I.Op == Opcode::CmpGt ? " > "
+                                             : " >= ";
+    K = KBool;
+    chargeOf(CostKind::CmpOp);
+    // Comparisons evaluate through double on every lane (the tree
+    // walker's rule, int operands included).
+    V = rv(I.B) + Op + rv(I.C);
+    break;
+  }
+  case Opcode::AddI:
+  case Opcode::SubI:
+  case Opcode::MulI:
+  case Opcode::DivI:
+  case Opcode::ModI: {
+    // fusible() let DivI/ModI in only with a literal divisor other than
+    // 0 and -1, so no lane can trap or overflow.
+    const char *Op = I.Op == Opcode::AddI   ? " + "
+                     : I.Op == Opcode::SubI ? " - "
+                     : I.Op == Opcode::MulI ? " * "
+                     : I.Op == Opcode::DivI ? " / "
+                                            : " % ";
+    chargeOf(CostKind::IntOp);
+    V = iv(I.B) + Op + iv(I.C);
+    break;
+  }
+  case Opcode::AddR:
+  case Opcode::SubR:
+  case Opcode::MulR:
+  case Opcode::DivR: {
+    std::string Lh = rv(I.B), Rh = rv(I.C);
+    K = KReal;
+    chargeOf(CostKind::RealOp);
+    if (I.Op == Opcode::DivR)
+      // The guarded divide: a zero divisor yields 0.0 (tree behavior).
+      V = Rh + " == 0.0 ? 0.0 : " + Lh + " / " + Rh;
+    else
+      V = Lh +
+          (I.Op == Opcode::AddR   ? " + "
+           : I.Op == Opcode::SubR ? " - "
+                                  : " * ") +
+          Rh;
+    break;
+  }
+  case Opcode::MaxMin: {
+    bool IsMax = (I.D & 1) != 0;
+    K = static_cast<uint8_t>(I.D >> 1);
+    if (I.D < 0 || K > KBool) {
+      Failed = true;
+      return;
+    }
+    std::string A = asKind(I.B, K), B = asKind(I.C, K);
+    chargeOf(K == KReal ? CostKind::RealOp : CostKind::IntOp);
+    // The comparisons std::max / std::min make, so NaN and signed-zero
+    // operands pick the same side.
+    V = IsMax ? "(" + A + " < " + B + ") ? " + B + " : " + A
+              : "(" + B + " < " + A + ") ? " + B + " : " + A;
+    break;
+  }
+  case Opcode::FaLayerMask:
+  case Opcode::WherePush: {
+    int32_t Lvl = Depth + 1;
+    std::string Next = i2s(Lvl * Lanes), Par = act(), Cnd;
+    if (I.Op == Opcode::FaLayerMask) {
+      const SlotFacts *S = slot(I.A);
+      if (!S)
+        return;
+      if (S->IsReal) {
+        Failed = true;
+        return;
+      }
+      // The interpreter sets the index lanes before it charges the mask,
+      // so a trap at the charge sees them: that store leads the group.
+      std::string E =
+          Cyclic ? "Layer * SF_LANES + L + 1" : "L * Chunk + Layer + 1";
+      G.Pre += "    const int64_t Layer = Ctl[" + i2s(I.B + 2) + "];\n";
+      G.Pre += "    const int64_t Lo = Ctl[" + i2s(I.B) + "], Hi = Ctl[" +
+               i2s(I.B + 1) + "];\n";
+      G.Pre += "    const int64_t Chunk = Ctl[" + i2s(I.B + 3) +
+               "]; (void)Chunk;\n";
+      G.Pre += "    for (int64_t L = 0; L < SF_LANES; ++L) S" + i2s(I.A) +
+               "[L] = " + E + ";\n";
+      line("const int64_t E = " + E + ";");
+      Cnd = "(uint8_t)(E >= Lo && E <= Hi)";
+    } else {
+      Cnd = "(uint8_t)(" + iv(I.A) + " != 0)";
+    }
+    chargeOf(CostKind::LogicOp);
+    std::string C = "c" + i2s(static_cast<int64_t>(PC));
+    std::string M = "m" + i2s(static_cast<int64_t>(PC));
+    line("const uint8_t " + C + " = " + Cnd + ";");
+    line("MaskCond[" + Next + " + L] = " + C + ";");
+    line("const uint8_t " + M + " = (uint8_t)(" + Par + " & " + C + ");");
+    line("MaskCur[" + Next + " + L] = " + M + ";");
+    MaskLocal[static_cast<size_t>(Lvl)] = static_cast<int32_t>(PC);
+    CondLocal[static_cast<size_t>(Lvl)] = static_cast<int32_t>(PC);
+    return;
+  }
+  case Opcode::WhereFlip: {
+    if (Depth < 1) {
+      Failed = true;
+      return;
+    }
+    size_t Lvl = static_cast<size_t>(Depth);
+    --Depth;
+    std::string Par = act();
+    ++Depth;
+    std::string Here = i2s(Depth * Lanes);
+    std::string Cond = CondLocal[Lvl] >= 0
+                           ? "c" + i2s(CondLocal[Lvl])
+                           : "MaskCond[" + Here + " + L]";
+    chargeOf(CostKind::LogicOp);
+    std::string M = "m" + i2s(static_cast<int64_t>(PC));
+    line("const uint8_t " + M + " = (uint8_t)(" + Par + " & !" + Cond +
+         ");");
+    line("MaskCur[" + Here + " + L] = " + M + ";");
+    MaskLocal[Lvl] = static_cast<int32_t>(PC);
+    return;
+  }
+  case Opcode::StVar: {
+    const SlotFacts *S = slot(I.A);
+    if (!S)
+      return;
+    std::string Val = asKind(I.B, S->Kind);
+    chargeOf(CostKind::MoveOp);
+    std::string Dst = "S" + i2s(I.A) + "[L]";
+    // The masked commit selects bits, not values: idle lanes keep their
+    // exact payload (-0.0, NaN), and the arithmetic above stays
+    // unconditional, so the loop vectorizes. At depth 0 it is a store.
+    if (Depth == 0)
+      line(Dst + " = " + Val + ";");
+    else
+      line(Dst + " = " + (S->IsReal ? "sfSelR(" : "sfSelI(") + act() +
+           ", " + Val + ", " + Dst + ");");
+    G.Tail = "    if (W" + i2s(I.A) + ") sfWork(" + maskPtr() + ");\n";
+    return;
+  }
+  default:
+    Failed = true;
+    return;
+  }
+  if (Failed || !validReg(I.A))
+    return;
+  // Later readers in the group use the local; every other reader, in
+  // this block or past a branch, reads the lane array.
+  std::string X = "x" + i2s(static_cast<int64_t>(PC));
+  line(std::string(K == KReal ? "const double " : "const int64_t ") + X +
+       " = " + V + ";");
+  line((K == KReal ? dstR(I.A) : dstI(I.A)) + "[L] = " + X + ";");
+  Local[static_cast<size_t>(I.A)] = static_cast<int32_t>(PC);
+}
+
 std::string Emitter::oobExpr(const SlotFacts &S, const int32_t *Ops,
                              int32_t N) {
   std::string E;
@@ -689,31 +1047,14 @@ void Emitter::emitInstr(size_t PC, const Instr &I) {
   ln("  {");
   const std::string Lp = "    for (int64_t L = 0; L < SF_LANES; ++L) ";
   switch (I.Op) {
-  case Opcode::LdInt:
-  case Opcode::LdReal:
-  case Opcode::LdBool:
-  case Opcode::NumLanesOp: {
-    uint8_t K;
-    int64_t Bits;
-    if (validReg(I.A) && loadedConst(I, K, Bits))
-      ln(Lp + (K == KReal ? dstR(I.A) : dstI(I.A)) + "[L] = " +
-         literal(K, Bits) + ";");
-    break;
-  }
   case Opcode::LdVar: {
+    // Only the whole-array form reaches here (fusible() takes the rest).
     const SlotFacts *S = slot(I.B);
-    if (!S || !validReg(I.A))
-      break;
-    if (S->IsArray) {
+    if (S)
       ln("    " + trap(interp::TrapKind::InvalidProgram, Loc,
                        lit("whole-array reference to '" + S->Name +
                            "' outside a reduction"),
                        false));
-      break;
-    }
-    std::string Dst = S->IsReal ? dstR(I.A) : dstI(I.A);
-    std::string Src = "S" + i2s(I.B) + (S->Width == 1 ? "[0]" : "[L]");
-    ln(Lp + Dst + "[L] = " + Src + ";");
     break;
   }
   case Opcode::Gather: {
@@ -766,37 +1107,30 @@ void Emitter::emitInstr(size_t PC, const Instr &I) {
     const SlotFacts *S = slot(I.A);
     if (!S)
       break;
-    std::string Sp = "S" + i2s(I.A);
+    // A control variable (fusible() takes the masked commits): the
+    // value must be uniform over active lanes.
     std::string V0 = asKind(I.B, S->Kind, "FirstActive");
     std::string V = asKind(I.B, S->Kind);
     charge(cost(CostKind::MoveOp), Loc);
-    if (S->Width == 1) {
-      // Control variable: the value must be uniform over active lanes.
-      ln("    int64_t FirstActive = -1;");
-      ln(Lp + "if (" + act() + ") { FirstActive = L; break; }");
-      ln("    if (FirstActive >= 0) {");
-      ln(std::string("      const ") + (S->IsReal ? "double" : "int64_t") +
-         " Val = " + V0 + ";");
-      ln("      uint64_t Diff = 0;");
-      ln("      for (int64_t L = FirstActive; L < SF_LANES; ++L)");
-      ln("        Diff |= (uint64_t)(" + act() + " & (" + V + " != Val));");
-      ln("      if (Diff) {");
-      ln("        NBad = 0;");
-      ln("        for (int64_t L = FirstActive; L < SF_LANES; ++L)");
-      ln("          if (" + act() + " && " + V + " != Val) BadL[NBad++] = L;");
-      ln("        " + trap(interp::TrapKind::NonUniformControl, Loc,
-                           lit("lane-varying store to control variable '" +
-                               S->Name + "'"),
-                           true));
-      ln("      }");
-      ln("      " + Sp + "[0] = Val;");
-      ln("    }");
-    } else {
-      // Masked commit as a blend: idle lanes are rewritten with their
-      // own bits (a select moves bits, so -0.0 and NaN payloads stay).
-      // At depth 0 the mask is the literal 1 and this folds to a store.
-      ln(Lp + Sp + "[L] = " + act() + " ? " + V + " : " + Sp + "[L];");
-    }
+    ln("    int64_t FirstActive = -1;");
+    ln(Lp + "if (" + act() + ") { FirstActive = L; break; }");
+    ln("    if (FirstActive >= 0) {");
+    ln(std::string("      const ") + (S->IsReal ? "double" : "int64_t") +
+       " Val = " + V0 + ";");
+    ln("      uint64_t Diff = 0;");
+    ln("      for (int64_t L = FirstActive; L < SF_LANES; ++L)");
+    ln("        Diff |= (uint64_t)(" + act() + " & (" + V + " != Val));");
+    ln("      if (Diff) {");
+    ln("        NBad = 0;");
+    ln("        for (int64_t L = FirstActive; L < SF_LANES; ++L)");
+    ln("          if (" + act() + " && " + V + " != Val) BadL[NBad++] = L;");
+    ln("        " + trap(interp::TrapKind::NonUniformControl, Loc,
+                         lit("lane-varying store to control variable '" +
+                             S->Name + "'"),
+                         true));
+    ln("      }");
+    ln("      S" + i2s(I.A) + "[0] = Val;");
+    ln("    }");
     ln("    if (W" + i2s(I.A) + ") sfWork(" + maskPtr() + ");");
     break;
   }
@@ -847,69 +1181,6 @@ void Emitter::emitInstr(size_t PC, const Instr &I) {
        i2s(I.A) + "[K2] = Ctl[" + i2s(I.B) + "];");
     break;
   }
-  case Opcode::Neg:
-  case Opcode::AbsOp: {
-    bool IsAbs = I.Op == Opcode::AbsOp;
-    uint8_t K = kindOf(I.B);
-    if (Failed || !validReg(I.A))
-      break;
-    charge(cost(K == KReal ? CostKind::RealOp : CostKind::IntOp), Loc);
-    if (K == KReal)
-      ln(Lp + dstR(I.A) + "[L] = " + (IsAbs ? "std::fabs(" : "-(") +
-         rv(I.B) + ");");
-    else
-      ln(Lp + dstI(I.A) + "[L] = " + (IsAbs ? "std::llabs(" : "-(") +
-         iv(I.B) + ");");
-    break;
-  }
-  case Opcode::NotOp:
-    if (!validReg(I.A))
-      break;
-    charge(cost(CostKind::LogicOp), Loc);
-    ln(Lp + dstI(I.A) + "[L] = !" + iv(I.B) + ";");
-    break;
-  case Opcode::AndOp:
-  case Opcode::OrOp:
-    if (!validReg(I.A))
-      break;
-    charge(cost(CostKind::LogicOp), Loc);
-    ln(Lp + dstI(I.A) + "[L] = (int64_t)((" + iv(I.B) + " != 0) " +
-       (I.Op == Opcode::AndOp ? "&" : "|") + " (" + iv(I.C) + " != 0));");
-    break;
-  case Opcode::CmpEq:
-  case Opcode::CmpNe:
-  case Opcode::CmpLt:
-  case Opcode::CmpLe:
-  case Opcode::CmpGt:
-  case Opcode::CmpGe: {
-    const char *Op = I.Op == Opcode::CmpEq   ? "=="
-                     : I.Op == Opcode::CmpNe ? "!="
-                     : I.Op == Opcode::CmpLt ? "<"
-                     : I.Op == Opcode::CmpLe ? "<="
-                     : I.Op == Opcode::CmpGt ? ">"
-                                             : ">=";
-    if (!validReg(I.A))
-      break;
-    charge(cost(CostKind::CmpOp), Loc);
-    // Comparisons evaluate through double on every lane (the tree
-    // walker's rule, int operands included).
-    ln(Lp + dstI(I.A) + "[L] = " + rv(I.B) + " " + Op + " " + rv(I.C) +
-       ";");
-    break;
-  }
-  case Opcode::AddI:
-  case Opcode::SubI:
-  case Opcode::MulI: {
-    const char *Op = I.Op == Opcode::AddI   ? "+"
-                     : I.Op == Opcode::SubI ? "-"
-                                            : "*";
-    if (!validReg(I.A))
-      break;
-    charge(cost(CostKind::IntOp), Loc);
-    ln(Lp + dstI(I.A) + "[L] = " + iv(I.B) + " " + Op + " " + iv(I.C) +
-       ";");
-    break;
-  }
   case Opcode::DivI:
   case Opcode::ModI: {
     const char *Op = I.Op == Opcode::ModI ? " % " : " / ";
@@ -920,14 +1191,9 @@ void Emitter::emitInstr(size_t PC, const Instr &I) {
       break;
     charge(cost(CostKind::IntOp), Loc);
     std::string Dst = dstI(I.A) + "[L]";
-    const RegFact &D = Cur[static_cast<size_t>(I.C)];
-    if (D.HasConst && D.Bits != 0 && D.Bits != -1) {
-      // A literal divisor can be neither zero nor the overflowing -1.
-      ln(Lp + Dst + " = " + Lh + Op + Rh + ";");
-      break;
-    }
-    // Division by zero on an idle lane is a don't-care (0); active
-    // lanes dividing by zero trap.
+    // A register divisor (fusible() takes the literal ones). Division
+    // by zero on an idle lane is a don't-care (0); active lanes
+    // dividing by zero trap.
     ln("    NBad = 0;");
     ln("    for (int64_t L = 0; L < SF_LANES; ++L) {");
     ln("      if (" + Rh + " == 0) {");
@@ -943,45 +1209,6 @@ void Emitter::emitInstr(size_t PC, const Instr &I) {
             lit(std::string(I.Op == Opcode::ModI ? "MOD" : "division") +
                 " by zero on active lane(s)"),
             true));
-    break;
-  }
-  case Opcode::AddR:
-  case Opcode::SubR:
-  case Opcode::MulR:
-  case Opcode::DivR: {
-    if (!validReg(I.A))
-      break;
-    std::string Lh = rv(I.B), Rh = rv(I.C);
-    charge(cost(CostKind::RealOp), Loc);
-    std::string Dst = dstR(I.A) + "[L]";
-    if (I.Op == Opcode::DivR)
-      // The guarded divide: a zero divisor yields 0.0 (tree behavior).
-      ln(Lp + Dst + " = " + Rh + " == 0.0 ? 0.0 : " + Lh + " / " + Rh +
-         ";");
-    else
-      ln(Lp + Dst + " = " + Lh +
-         (I.Op == Opcode::AddR   ? " + "
-          : I.Op == Opcode::SubR ? " - "
-                                 : " * ") +
-         Rh + ";");
-    break;
-  }
-  case Opcode::MaxMin: {
-    bool IsMax = (I.D & 1) != 0;
-    int K = I.D >> 1;
-    if (!validReg(I.A) || K < 0 || K > KBool) {
-      Failed = true;
-      break;
-    }
-    std::string A = asKind(I.B, K), B = asKind(I.C, K);
-    charge(cost(K == KReal ? CostKind::RealOp : CostKind::IntOp), Loc);
-    std::string Dst = (K == KReal ? dstR(I.A) : dstI(I.A)) + "[L]";
-    // The comparisons std::max / std::min make, so NaN and signed-zero
-    // operands pick the same side.
-    if (IsMax)
-      ln(Lp + Dst + " = (" + A + " < " + B + ") ? " + B + " : " + A + ";");
-    else
-      ln(Lp + Dst + " = (" + B + " < " + A + ") ? " + B + " : " + A + ";");
     break;
   }
   case Opcode::SqrtOp: {
@@ -1001,21 +1228,17 @@ void Emitter::emitInstr(size_t PC, const Instr &I) {
     ln("      NBad = 0;");
     ln("      for (int64_t L = 0; L < SF_LANES; ++L) {");
     ln("        if (" + V + " < 0.0 && " + act() + ") BadL[NBad++] = L;");
-    ln("        " + Dst + " = " + V + " < 0.0 ? 0.0 : std::sqrt(" + V +
+    ln("        " + Dst + " = " + V + " < 0.0 ? 0.0 : __builtin_sqrt(" + V +
        ");");
     ln("      }");
     ln("      if (NBad)");
     ln("        " + trap(interp::TrapKind::DomainError, Loc,
                          lit("SQRT of a negative on active lane(s)"), true));
     ln("    } else {");
-    ln("  " + Lp + Dst + " = std::sqrt(" + V + ");");
+    ln("  " + Lp + Dst + " = __builtin_sqrt(" + V + ");");
     ln("    }");
     break;
   }
-  case Opcode::LaneIdx:
-    if (validReg(I.A))
-      ln(Lp + dstI(I.A) + "[L] = L + 1;");
-    break;
   case Opcode::AnyAll: {
     bool IsAll = I.D != 0;
     if (!validReg(I.A))
@@ -1227,55 +1450,36 @@ void Emitter::emitInstr(size_t PC, const Instr &I) {
     ln("    if (Ctl[" + i2s(I.A + 2) + "] >= Ctl[" + i2s(I.A + 3) + "])");
     ln("      goto L" + i2s(I.D) + ";");
     break;
-  case Opcode::FaLayerMask:
-  case Opcode::WherePush: {
-    bool Forall = I.Op == Opcode::FaLayerMask;
-    std::string Par = act(), Cond;
-    int64_t Next = (Depth + 1) * Lanes;
-    if (Forall) {
-      const SlotFacts *S = slot(I.A);
-      if (!S)
-        break;
-      if (S->IsReal) {
-        Failed = true;
-        break;
-      }
-      ln("    const int64_t Layer = Ctl[" + i2s(I.B + 2) + "];");
-      ln("    const int64_t Lo = Ctl[" + i2s(I.B) + "], Hi = Ctl[" +
-         i2s(I.B + 1) + "];");
-      ln("    const int64_t Chunk = Ctl[" + i2s(I.B + 3) + "]; (void)Chunk;");
-      Cond = "(uint8_t)(E >= Lo && E <= Hi)";
-    } else {
-      Cond = "(uint8_t)(" + iv(I.A) + " != 0)";
-    }
-    ln("    for (int64_t L = 0; L < SF_LANES; ++L) {");
-    if (Forall) {
-      ln(std::string("      const int64_t E = ") +
-         (Cyclic ? "Layer * SF_LANES + L + 1;" : "L * Chunk + Layer + 1;"));
-      ln("      S" + i2s(I.A) + "[L] = E;");
-    }
-    ln("      const uint8_t Cnd = " + Cond + ";");
-    ln("      MaskCond[" + i2s(Next) + " + L] = Cnd;");
-    ln("      MaskCur[" + i2s(Next) + " + L] = (uint8_t)(" + Par + " & Cnd);");
-    ln("    }");
-    charge(cost(CostKind::LogicOp), Loc);
-    break;
-  }
-  case Opcode::WhereFlip: {
-    if (Depth < 1) {
-      Failed = true;
-      break;
-    }
-    int64_t Here = Depth * Lanes;
-    --Depth;
-    std::string Par = act();
-    ++Depth;
-    charge(cost(CostKind::LogicOp), Loc);
-    ln(Lp + "MaskCur[" + i2s(Here) + " + L] = (uint8_t)(" + Par +
-       " & !MaskCond[" + i2s(Here) + " + L]);");
-    break;
-  }
   case Opcode::MaskPop:
+    break;
+  case Opcode::LdInt:
+  case Opcode::LdReal:
+  case Opcode::LdBool:
+  case Opcode::NumLanesOp:
+  case Opcode::LaneIdx:
+  case Opcode::Neg:
+  case Opcode::AbsOp:
+  case Opcode::NotOp:
+  case Opcode::AndOp:
+  case Opcode::OrOp:
+  case Opcode::CmpEq:
+  case Opcode::CmpNe:
+  case Opcode::CmpLt:
+  case Opcode::CmpLe:
+  case Opcode::CmpGt:
+  case Opcode::CmpGe:
+  case Opcode::AddI:
+  case Opcode::SubI:
+  case Opcode::MulI:
+  case Opcode::AddR:
+  case Opcode::SubR:
+  case Opcode::MulR:
+  case Opcode::DivR:
+  case Opcode::MaxMin:
+  case Opcode::WherePush:
+  case Opcode::WhereFlip:
+  case Opcode::FaLayerMask:
+    Failed = true; // always fusible: emitGroup prints these
     break;
   }
   ln("  }");
@@ -1329,23 +1533,31 @@ std::string Emitter::emit() {
   RegUse.assign(static_cast<size_t>(NumRegs), 0);
   Out.reserve(EP.Code.size() * 160);
   bool Live = false;
-  for (size_t PC = 0; PC < EP.Code.size(); ++PC) {
-    int32_t B = BlockAt[PC];
-    if (B >= 0) {
-      Live = BlockDepth[static_cast<size_t>(B)] >= 0;
+  int32_t Block = 0;
+  for (size_t PC = 0; PC < EP.Code.size();) {
+    if (BlockAt[PC] >= 0) {
+      Block = BlockAt[PC];
+      Live = BlockDepth[static_cast<size_t>(Block)] >= 0;
       if (Live)
-        loadBlock(B);
+        loadBlock(Block);
     }
     // Unreachable code is not emitted; nothing reachable jumps there.
-    if (!Live)
+    if (!Live) {
+      ++PC;
       continue;
+    }
     const Instr &I = EP.Code[PC];
-    emitInstr(PC, I);
-    step(I);
+    if (fusible(I)) {
+      PC = emitGroup(PC);
+    } else {
+      emitInstr(PC, I);
+      step(I);
+      if (!fallsThrough(I.Op))
+        Live = false;
+      ++PC;
+    }
     if (Failed)
       return {};
-    if (!fallsThrough(I.Op))
-      Live = false;
   }
   std::string Body = std::move(Out);
   Out.clear();
@@ -1366,7 +1578,6 @@ std::string Emitter::emit() {
   ln("// Generated by simdflat codegen::CppEmitter - do not edit.");
   ln("// program '" + Prog + "', lanes " + i2s(Lanes) + ", layout " +
      (Cyclic ? "cyclic" : "block") + ".");
-  ln("#include <cmath>");
   ln("#include <cstdint>");
   ln("#include <cstdio>");
   ln("#include <cstdlib>");
@@ -1397,6 +1608,16 @@ std::string Emitter::emit() {
   ln("");
   ln("static inline double sfBits(uint64_t B) {");
   ln("  double V; std::memcpy(&V, &B, sizeof(V)); return V;");
+  ln("}");
+  // The masked commit: all bits of A on an active lane, of B on an idle
+  // one.
+  ln("static inline int64_t sfSelI(uint8_t Act, int64_t A, int64_t B) {");
+  ln("  const int64_t M = -(int64_t)Act; return (A & M) | (B & ~M);");
+  ln("}");
+  ln("static inline double sfSelR(uint8_t Act, double A, double B) {");
+  ln("  const uint64_t M = -(uint64_t)Act; uint64_t X, Y;");
+  ln("  __builtin_memcpy(&X, &A, 8); __builtin_memcpy(&Y, &B, 8);");
+  ln("  X = (X & M) | (Y & ~M); __builtin_memcpy(&A, &X, 8); return A;");
   ln("}");
   ln("static inline double sfOpaque(double V) {");
   ln("  volatile double X = V; return X;");

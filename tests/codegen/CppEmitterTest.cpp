@@ -12,6 +12,7 @@
 #include "codegen/JitCache.h"
 #include "codegen/NativeAbi.h"
 #include "exec/Bytecode.h"
+#include "frontend/Parser.h"
 #include "interp/SimdInterp.h"
 #include "transform/Pipeline.h"
 #include "workloads/PaperKernels.h"
@@ -65,10 +66,71 @@ TEST(CppEmitter, EmittedModuleHasStaticKindsAndCHeadersOnly) {
   EXPECT_NE(Src.find("CallVec"), std::string::npos);
   for (const char *Gone :
        {"std::string", "std::vector", "#include <string>",
-        "#include <vector>", "#include <algorithm>", "std::max",
-        "std::min", "numeric_limits", "SfReg", ".K ==", "sfToReal",
-        "sfToKind", "CallLane"})
+        "#include <vector>", "#include <algorithm>", "#include <cmath>",
+        "std::sqrt", "std::fabs", "std::max", "std::min",
+        "numeric_limits", "SfReg", ".K ==", "sfToReal", "sfToKind",
+        "CallLane"})
     EXPECT_EQ(Src.find(Gone), std::string::npos) << Gone;
+}
+
+TEST(CppEmitter, MaskedStatementIsOneLaneLoop) {
+  // The WHERE's condition, its mask push and the whole masked statement
+  // into `t` are lane-local: they print as one block holding one lane
+  // loop, with all six charges (compare, push, mul, add, sub, move)
+  // ahead of it and the commit as a bitwise select.
+  const char *Source = "PROGRAM FUSE\n"
+                       "DISTRIBUTED REAL A(8)\n"
+                       "DISTRIBUTED REAL Y(8)\n"
+                       "REAL a\n"
+                       "REAL t\n"
+                       "INTEGER k\n"
+                       "BEGIN\n"
+                       "  DOALL k = 1, 8\n"
+                       "    a = A(k)\n"
+                       "    WHERE (a > 0.0)\n"
+                       "      t = a * a + a - 2.0\n"
+                       "    ELSEWHERE\n"
+                       "      t = -a\n"
+                       "    ENDWHERE\n"
+                       "    Y(k) = t\n"
+                       "  ENDDO\n"
+                       "END\n";
+  frontend::ParseResult PR = frontend::parseProgram(Source);
+  ASSERT_TRUE(PR.ok()) << PR.Diags.renderAll();
+  auto C = transform::compileForSimdExec(*PR.Prog);
+  ASSERT_TRUE(static_cast<bool>(C)) << C.error().render();
+  machine::MachineConfig M;
+  M.Name = "test-4";
+  M.Processors = M.Gran = 4;
+  std::string Src = codegen::emitCpp(*C->Code, C->Prog, M);
+  ASSERT_FALSE(Src.empty());
+
+  // The block of the statement: from the `{` before the first masked
+  // commit to `t` to the `}` after it.
+  int32_t T = -1;
+  for (size_t S = 0; S < C->Code->SlotNames.size(); ++S)
+    if (C->Code->SlotNames[S] == "t")
+      T = static_cast<int32_t>(S);
+  ASSERT_GE(T, 0);
+  std::string Commit = "S" + std::to_string(T) + "[L] = sfSelR(";
+  size_t At = Src.find(Commit);
+  ASSERT_NE(At, std::string::npos) << Src;
+  size_t Open = Src.rfind("\n  {\n", At), Close = Src.find("\n  }\n", At);
+  ASSERT_NE(Open, std::string::npos);
+  ASSERT_NE(Close, std::string::npos);
+  std::string Block = Src.substr(Open, Close - Open);
+  auto count = [&](const std::string &Needle) {
+    size_t N = 0;
+    for (size_t P = Block.find(Needle); P != std::string::npos;
+         P = Block.find(Needle, P + 1))
+      ++N;
+    return N;
+  };
+  EXPECT_EQ(count("for (int64_t L"), 1u) << Block;
+  EXPECT_EQ(count("sfCharge("), 6u) << Block;
+  EXPECT_LT(Block.rfind("sfCharge("), Block.find("for (int64_t L")) << Block;
+  // The commit selects on the level the loop itself pushed.
+  EXPECT_NE(Block.find(Commit + "m"), std::string::npos) << Block;
 }
 
 /// A hand-lowered program whose register 1 is an integer on one path

@@ -7,16 +7,22 @@
 // between the tree reference, the bytecode engine and the native tier.
 // The serving core leans on these edges: MaxFuel admission and
 // FuelExhausted replies are only deterministic if every engine charges
-// identically.
+// identically. The native tier charges a fused statement's instructions
+// before its one lane loop; EveryBudgetMatchesBytecode pins that a fuel
+// trap at any of those charges still leaves the bytecode engine's store.
 //
 //===----------------------------------------------------------------------===//
 
+#include "codegen/NativeEngine.h"
 #include "frontend/Parser.h"
 #include "interp/SimdInterp.h"
 #include "transform/Pipeline.h"
 #include "workloads/PaperKernels.h"
 
 #include <gtest/gtest.h>
+
+#include <cstring>
+#include <functional>
 
 using namespace simdflat;
 using namespace simdflat::interp;
@@ -170,6 +176,177 @@ RunOutcome<SimdRunResult> runSimdExpired(Engine E) {
   const std::vector<int64_t> L = {1, 2, 9, 3};
   Interp.store().setIntArray("L", L);
   return Interp.run();
+}
+
+/// A compiled program, its machine and its inputs.
+struct BudgetCase {
+  transform::CompiledSimdProgram C{ir::Program(""), nullptr};
+  machine::MachineConfig M;
+  std::function<void(DataStore &)> Seed;
+  std::vector<std::string> WorkTargets;
+};
+
+/// Every store slot's payload in declaration order, reals as bits.
+std::vector<std::vector<int64_t>> storeBits(const ir::Program &P,
+                                            const DataStore &S) {
+  std::vector<std::vector<int64_t>> Out;
+  for (const ir::VarDecl &D : P.vars()) {
+    const Slot &Sl = S.slot(D.Name);
+    std::vector<int64_t> Bits = Sl.I;
+    if (Sl.isReal()) {
+      Bits.resize(Sl.R.size());
+      if (!Bits.empty())
+        std::memcpy(Bits.data(), Sl.R.data(), Bits.size() * sizeof(double));
+    }
+    Out.push_back(std::move(Bits));
+  }
+  return Out;
+}
+
+RunOutcome<SimdRunResult> runBudget(const BudgetCase &BC, Engine E,
+                                    int64_t Fuel,
+                                    std::vector<std::vector<int64_t>> &Bits) {
+  RunOptions O;
+  O.Eng = E;
+  O.Fuel = Fuel;
+  O.WorkTargets = BC.WorkTargets;
+  SimdInterp Interp(BC.C.Prog, BC.M, nullptr, O);
+  Interp.setCompiled(BC.C.Code);
+  BC.Seed(Interp.store());
+  auto R = Interp.run();
+  Bits = storeBits(BC.C.Prog, Interp.store());
+  return R;
+}
+
+/// For every budget from 1 to the program's total charge, native and
+/// bytecode end the same way: the same trap (kind, lanes, location,
+/// detail) over bit-identical stores, and at the total the same
+/// RunStats.
+void expectEveryBudgetMatches(const BudgetCase &BC) {
+  std::vector<std::vector<int64_t>> ByteBits, NatBits;
+  auto Free = runBudget(BC, Engine::Native, 0, NatBits);
+  ASSERT_TRUE(static_cast<bool>(Free)) << Free.error().render();
+  if (!codegen::nativeAvailable())
+    GTEST_SKIP() << "no native tier in this build or host";
+  ASSERT_EQ(Free->EngineUsed, Engine::Native);
+  int64_t Total = Free->Stats.Instructions;
+  ASSERT_GT(Total, 1);
+  for (int64_t Budget = 1; Budget <= Total; ++Budget) {
+    auto Byte = runBudget(BC, Engine::Bytecode, Budget, ByteBits);
+    auto Nat = runBudget(BC, Engine::Native, Budget, NatBits);
+    ASSERT_EQ(static_cast<bool>(Byte), static_cast<bool>(Nat))
+        << "budget " << Budget;
+    ASSERT_EQ(ByteBits, NatBits) << "store differs at budget " << Budget;
+    if (!Byte) {
+      ASSERT_EQ(Byte.error().Kind, TrapKind::FuelExhausted)
+          << "budget " << Budget;
+      expectSameTrap(Byte.error(), Nat.error());
+      continue;
+    }
+    ASSERT_EQ(Budget, Total);
+    EXPECT_EQ(Nat->EngineUsed, Engine::Native);
+    EXPECT_EQ(Byte->Stats.Instructions, Nat->Stats.Instructions);
+    EXPECT_EQ(Byte->Stats.Cycles, Nat->Stats.Cycles);
+    EXPECT_EQ(Byte->Stats.Seconds, Nat->Stats.Seconds);
+    EXPECT_EQ(Byte->Stats.WorkSteps, Nat->Stats.WorkSteps);
+    EXPECT_EQ(Byte->Stats.WorkActiveLanes, Nat->Stats.WorkActiveLanes);
+    EXPECT_EQ(Byte->Stats.WorkTotalLanes, Nat->Stats.WorkTotalLanes);
+    EXPECT_EQ(Byte->Stats.CommAccesses, Nat->Stats.CommAccesses);
+  }
+}
+
+/// WHERE / ELSEWHERE over statements of several lane-local
+/// instructions, each masked commit to the replicated `t` preceded by
+/// arithmetic the native tier fuses into the commit's lane loop.
+constexpr const char *FusedWhereSource =
+    "PROGRAM FUSED\n"
+    "DISTRIBUTED REAL A(8)\n"
+    "DISTRIBUTED REAL B(8)\n"
+    "DISTRIBUTED REAL C(8)\n"
+    "DISTRIBUTED REAL Y(8)\n"
+    "REAL t\n"
+    "INTEGER k\n"
+    "BEGIN\n"
+    "  DOALL k = 1, 8\n"
+    "    WHERE (A(k) > 0.0)\n"
+    "      t = A(k) * B(k) + C(k) - 2.0\n"
+    "      Y(k) = t * t - C(k)\n"
+    "    ELSEWHERE\n"
+    "      t = -C(k)\n"
+    "      Y(k) = A(k) * B(k) + C(k) - 2.0\n"
+    "    ENDWHERE\n"
+    "  ENDDO\n"
+    "END\n";
+
+/// A masked FORALL: its layer mask writes the index lanes before its
+/// charge, and the native tier keeps that store ahead of the fused
+/// statement's charges.
+constexpr const char *FusedForallSource =
+    "PROGRAM FUSEDFA\n"
+    "DISTRIBUTED REAL V(8)\n"
+    "DISTRIBUTED REAL W(8)\n"
+    "REAL t\n"
+    "INTEGER i\n"
+    "BEGIN\n"
+    "  FORALL (i = 1 : 6, V(i) > 0.0)\n"
+    "    t = V(i) * 2.0 + 1.0\n"
+    "    W(i) = t - V(i)\n"
+    "  ENDFORALL\n"
+    "END\n";
+
+TEST(FuelEdge, EveryBudgetMatchesBytecode) {
+  {
+    SCOPED_TRACE("paper example, 2 lanes");
+    ExampleSpec Spec = paperExampleSpec();
+    transform::PipelineOptions PO;
+    PO.AssumeInnerMinOneTrip = true;
+    auto C = transform::compileForSimdExec(makeExample(Spec), PO);
+    ASSERT_TRUE(static_cast<bool>(C)) << C.error().render();
+    BudgetCase BC;
+    BC.C = std::move(*C);
+    BC.M = lanes(2);
+    BC.Seed = [Spec](DataStore &S) {
+      S.setInt("K", Spec.K);
+      S.setIntArray("L", Spec.L);
+    };
+    expectEveryBudgetMatches(BC);
+  }
+  {
+    SCOPED_TRACE("fused WHERE statements, 4 lanes");
+    frontend::ParseResult PR = frontend::parseProgram(FusedWhereSource);
+    ASSERT_TRUE(PR.ok()) << PR.Diags.renderAll();
+    auto C = transform::compileForSimdExec(*PR.Prog);
+    ASSERT_TRUE(static_cast<bool>(C)) << C.error().render();
+    BudgetCase BC;
+    BC.C = std::move(*C);
+    BC.M = lanes(4);
+    BC.WorkTargets = {"Y"};
+    BC.Seed = [](DataStore &S) {
+      S.setRealArray("A", std::vector<double>{1.5, -2.0, 0.0, 3.25, -0.5,
+                                              2.0, -0.0, 4.0});
+      S.setRealArray("B", std::vector<double>{2.0, 0.5, -1.0, 0.25, 8.0,
+                                              -3.0, 1.0, 0.125});
+      S.setRealArray("C", std::vector<double>{-0.0, 1.0, 2.5, -4.0, 0.0,
+                                              0.75, -1.5, 3.0});
+    };
+    expectEveryBudgetMatches(BC);
+  }
+  {
+    SCOPED_TRACE("masked FORALL, 4 lanes");
+    frontend::ParseResult PR = frontend::parseProgram(FusedForallSource);
+    ASSERT_TRUE(PR.ok()) << PR.Diags.renderAll();
+    auto C = transform::compileForSimdExec(*PR.Prog);
+    ASSERT_TRUE(static_cast<bool>(C)) << C.error().render();
+    BudgetCase BC;
+    BC.C = std::move(*C);
+    BC.M = lanes(4);
+    BC.WorkTargets = {"W"};
+    BC.Seed = [](DataStore &S) {
+      S.setRealArray("V", std::vector<double>{1.0, -2.0, 0.5, 3.0, -0.0,
+                                              4.0, 7.0, 8.0});
+    };
+    expectEveryBudgetMatches(BC);
+  }
 }
 
 TEST(FuelEdge, DeadlineTrapIdenticalAcrossEngines) {

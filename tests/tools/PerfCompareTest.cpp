@@ -10,6 +10,7 @@
 
 #include <filesystem>
 #include <fstream>
+#include <string>
 
 using namespace simdflat;
 using namespace simdflat::perfcompare;
@@ -95,6 +96,42 @@ TEST(PerfCompare, HigherIsBetterDirectionFlips) {
   ASSERT_TRUE(R2.ok());
   EXPECT_TRUE(R2->ok());
   EXPECT_TRUE(R2->Deltas[0].Improved);
+}
+
+TEST(PerfCompare, FallingRateIsNotAnImprovement) {
+  // A google-benchmark rate (items_per_second) falls when the code
+  // slows down. The adapter records rates higher-is-better and the
+  // direction comes from the baseline row, so the drop is no
+  // "improved" (and, ungated, no failure either).
+  auto R = compareBenchJson(
+      makeDoc({{"BM_x", "items_per_second", 100.0, false, false}}),
+      makeDoc({{"BM_x", "items_per_second", 50.0, false, false}}));
+  ASSERT_TRUE(R.ok());
+  ASSERT_EQ(R->Deltas.size(), 1u);
+  EXPECT_FALSE(R->Deltas[0].Improved);
+  EXPECT_FALSE(R->Deltas[0].Regressed);
+
+  // Every rate row of the shipped baselines carries that direction.
+  for (const char *File :
+       {"BENCH_overhead_native.json", "BENCH_transform_cost.json"}) {
+    auto Doc = json::parseFile(std::string(SIMDFLAT_SOURCE_DIR) +
+                               "/bench/baselines/" + File);
+    ASSERT_TRUE(Doc.ok()) << Doc.error().render();
+    const json::Value *Metrics = Doc->get("metrics");
+    ASSERT_TRUE(Metrics && Metrics->isArray()) << File;
+    int64_t Rates = 0;
+    for (size_t I = 0; I < Metrics->size(); ++I) {
+      const json::Value &M = Metrics->at(I);
+      const json::Value *Name = M.get("metric"), *Better = M.get("better");
+      if (!Name || !Name->isString() ||
+          Name->asString() != "items_per_second")
+        continue;
+      ++Rates;
+      ASSERT_TRUE(Better && Better->isString()) << File;
+      EXPECT_EQ(Better->asString(), "higher") << File << " row " << I;
+    }
+    EXPECT_GT(Rates, 0) << File;
+  }
 }
 
 TEST(PerfCompare, UngatedMetricsNeverRegress) {
