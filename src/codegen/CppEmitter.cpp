@@ -1183,7 +1183,6 @@ void Emitter::emitInstr(size_t PC, const Instr &I) {
   }
   case Opcode::DivI:
   case Opcode::ModI: {
-    const char *Op = I.Op == Opcode::ModI ? " % " : " / ";
     if (!validReg(I.A))
       break;
     std::string Lh = iv(I.B), Rh = iv(I.C);
@@ -1191,16 +1190,22 @@ void Emitter::emitInstr(size_t PC, const Instr &I) {
       break;
     charge(cost(CostKind::IntOp), Loc);
     std::string Dst = dstI(I.A) + "[L]";
-    // A register divisor (fusible() takes the literal ones). Division
-    // by zero on an idle lane is a don't-care (0); active lanes
-    // dividing by zero trap.
+    // A register divisor or the literals 0 and -1 (fusible() takes the
+    // others). Division by zero on an idle lane is a don't-care (0);
+    // active lanes dividing by zero trap. interp::divInt/modInt's rule
+    // for -1: DIV negates through uint64_t, MOD is 0.
+    std::string Q =
+        I.Op == Opcode::ModI
+            ? "(" + Rh + " == -1 ? 0 : " + Lh + " % " + Rh + ")"
+            : "(" + Rh + " == -1 ? (int64_t)(0 - (uint64_t)" + Lh +
+                  ") : " + Lh + " / " + Rh + ")";
     ln("    NBad = 0;");
     ln("    for (int64_t L = 0; L < SF_LANES; ++L) {");
     ln("      if (" + Rh + " == 0) {");
     ln("        if (" + act() + ") BadL[NBad++] = L;");
     ln("        " + Dst + " = 0;");
     ln("      } else {");
-    ln("        " + Dst + " = " + Lh + Op + Rh + ";");
+    ln("        " + Dst + " = " + Q + ";");
     ln("      }");
     ln("    }");
     ln("    if (NBad)");

@@ -10,7 +10,10 @@
 ///
 /// Every handler is a transcription of the SIMD tree walker's path:
 /// same charges in the same order, same trap kinds, messages and lane
-/// sets.
+/// sets. The hot handlers first take a branch-free pass that computes
+/// the same result whenever no lane faults; only when one does do they
+/// collect the trap's lane set or run that per-lane sweep (DESIGN.md
+/// s11).
 ///
 /// This is a private header of src/exec; include it only from engine
 /// translation units.
@@ -30,6 +33,7 @@
 #include <cassert>
 #include <cmath>
 #include <cstdlib>
+#include <cstring>
 #include <limits>
 
 namespace simdflat {
@@ -72,32 +76,38 @@ inline void logicOp(bool IsAnd, int64_t *O, const int64_t *A,
   for (size_t L = 0; L < N; ++L)
     O[L] = IsAnd ? (A[L] && B[L]) : (A[L] || B[L]);
 }
-inline void cmpRR(Opcode Op, int64_t *O, const double *A, const double *B,
-                  size_t N) {
+/// Comparisons evaluate through double on every lane (the tree
+/// walker's rule: integers beyond 2^53 compare as their doubles); each
+/// operand lane widens inside the loop, one instantiation per pair of
+/// int64_t/double payloads.
+template <typename TA, typename TB>
+inline void cmpLanes(Opcode Op, int64_t *O, const TA *A, const TB *B,
+                     size_t N) {
+  auto W = [](auto X) { return static_cast<double>(X); };
   switch (Op) {
   case Opcode::CmpEq:
     for (size_t L = 0; L < N; ++L)
-      O[L] = A[L] == B[L];
+      O[L] = W(A[L]) == W(B[L]);
     break;
   case Opcode::CmpNe:
     for (size_t L = 0; L < N; ++L)
-      O[L] = A[L] != B[L];
+      O[L] = W(A[L]) != W(B[L]);
     break;
   case Opcode::CmpLt:
     for (size_t L = 0; L < N; ++L)
-      O[L] = A[L] < B[L];
+      O[L] = W(A[L]) < W(B[L]);
     break;
   case Opcode::CmpLe:
     for (size_t L = 0; L < N; ++L)
-      O[L] = A[L] <= B[L];
+      O[L] = W(A[L]) <= W(B[L]);
     break;
   case Opcode::CmpGt:
     for (size_t L = 0; L < N; ++L)
-      O[L] = A[L] > B[L];
+      O[L] = W(A[L]) > W(B[L]);
     break;
   case Opcode::CmpGe:
     for (size_t L = 0; L < N; ++L)
-      O[L] = A[L] >= B[L];
+      O[L] = W(A[L]) >= W(B[L]);
     break;
   default:
     SIMDFLAT_UNREACHABLE("not a comparison");
@@ -166,18 +176,62 @@ inline void sqrtR(double *O, const double *A, size_t N) {
   for (size_t L = 0; L < N; ++L)
     O[L] = std::sqrt(A[L]);
 }
-/// Masked commit: lanes with a zero mask byte keep their old value.
+/// All-ones on an active lane, zero on an idle one.
+inline uint64_t laneMask(uint8_t M) {
+  return -static_cast<uint64_t>(M != 0);
+}
+/// Top bit set iff \p V is zero: (V | -V) has it set iff V is not.
+inline uint64_t zeroBit(uint64_t V) { return ~(V | (0 - V)); }
+/// Masked commit as a bitwise select: lanes with a zero mask byte keep
+/// every bit of their old value (-0.0 and NaN payloads included).
 inline void maskedStoreI(int64_t *Dst, const int64_t *Src,
                          const uint8_t *M, size_t N) {
-  for (size_t L = 0; L < N; ++L)
-    if (M[L])
-      Dst[L] = Src[L];
+  for (size_t L = 0; L < N; ++L) {
+    uint64_t Sel = laneMask(M[L]);
+    Dst[L] = static_cast<int64_t>((static_cast<uint64_t>(Src[L]) & Sel) |
+                                  (static_cast<uint64_t>(Dst[L]) & ~Sel));
+  }
 }
 inline void maskedStoreR(double *Dst, const double *Src, const uint8_t *M,
                          size_t N) {
+  for (size_t L = 0; L < N; ++L) {
+    uint64_t Sel = laneMask(M[L]), New, Old;
+    std::memcpy(&New, &Src[L], sizeof(New));
+    std::memcpy(&Old, &Dst[L], sizeof(Old));
+    Old = (New & Sel) | (Old & ~Sel);
+    std::memcpy(&Dst[L], &Old, sizeof(Old));
+  }
+}
+/// Mask bytes of a logical lane vector: 1 where the value is nonzero.
+inline void truthBytes(uint8_t *O, const int64_t *A, size_t N) {
   for (size_t L = 0; L < N; ++L)
-    if (M[L])
-      Dst[L] = Src[L];
+    O[L] = static_cast<uint8_t>(~zeroBit(static_cast<uint64_t>(A[L])) >> 63);
+}
+/// \p V where \p Keep is all-ones, all bits clear (0, +0.0) where it
+/// is zero.
+inline int64_t keepBits(int64_t V, uint64_t Keep) {
+  return static_cast<int64_t>(static_cast<uint64_t>(V) & Keep);
+}
+inline double keepBits(double V, uint64_t Keep) {
+  uint64_t B;
+  std::memcpy(&B, &V, sizeof(B));
+  B &= Keep;
+  std::memcpy(&V, &B, sizeof(V));
+  return V;
+}
+/// The bound of a dimension of \p Extent elements: an extent below 1
+/// admits no index.
+inline uint64_t indexBound(int64_t Extent) {
+  return Extent < 1 ? 0 : static_cast<uint64_t>(Extent);
+}
+/// Top bit set iff \p IdxV lies outside [1, \p Bound]: IdxV - 1 and
+/// Bound - IdxV both have a clear top bit exactly when it is inside (in
+/// wrapping unsigned arithmetic, for any IdxV and Bound < 2^63), so a
+/// bounds pass needs no 64-bit compare and vectorizes on the baseline
+/// ISA.
+inline uint64_t outOfRange(int64_t IdxV, uint64_t Bound) {
+  auto U = static_cast<uint64_t>(IdxV);
+  return (U - 1) | (Bound - U);
 }
 
 /// The evaluation core.
@@ -238,8 +292,9 @@ private:
   /// Scratch buffers, reused across instructions so the dispatch loop
   /// is allocation-free in steady state.
   VecVal CoerceA, CoerceB;
-  std::vector<int64_t> FlatsTmp;
+  std::vector<uint64_t> FlatsTmp, OutTmp;
   std::vector<uint8_t> MaskTmp;
+  std::vector<ScalVal> CallArgs;
   std::vector<Slot *> Slots;
   std::vector<uint8_t> SlotWork;
   std::vector<const ExternImpl *> CalleeImpls;
@@ -385,24 +440,141 @@ private:
   int64_t uniformInt(const VecVal &V, const std::string &What) {
     assert(V.Kind != ir::ScalarKind::Real && "uniformInt of a real");
     int64_t First = V.I[0];
+    // An OR reduction decides; only the failing path collects lanes.
+    uint64_t Diff = 0;
+    for (size_t L = 0; L < V.I.size(); ++L)
+      Diff |= static_cast<uint64_t>(V.I[L] ^ First);
+    if (!Diff)
+      return First;
     std::vector<int64_t> Divergent;
     for (size_t L = 0; L < V.I.size(); ++L)
       if (V.I[L] != First)
         Divergent.push_back(static_cast<int64_t>(L));
-    if (!Divergent.empty())
-      trap(TrapKind::NonUniformControl,
-           What + " is not control-uniform across lanes; "
-                  "lane-varying control flow needs WHERE / "
-                  "WHILE ANY(...)",
-           std::move(Divergent));
-    return First;
+    trap(TrapKind::NonUniformControl,
+         What + " is not control-uniform across lanes; "
+                "lane-varying control flow needs WHERE / "
+                "WHILE ANY(...)",
+         std::move(Divergent));
+  }
+
+  /// The gather as one masked pass over every lane: lane L reads its
+  /// element, or 0 where an index is out of bounds (a read of the first
+  /// element, selected away). \p Ok[L] is 1 where lane L is active and
+  /// in bounds. Returns true when some active lane is out of bounds.
+  template <typename T>
+  bool gatherLanes(T *O, const std::vector<T> &Src, const ir::VarDecl &D,
+                   const int32_t *Ops, uint8_t *Ok) {
+    static constexpr T Zero{};
+    const T *Base = Src.empty() ? &Zero : Src.data();
+    const uint8_t *M = Mask.current().data();
+    uint64_t ActiveOut = 0;
+    auto Pass = [&](auto Flat, auto Out) {
+      for (size_t L = 0; L < laneCount(); ++L) {
+        uint64_t Keep = (Out(L) >> 63) - 1;
+        O[L] = keepBits(Base[Flat(L) & Keep], Keep);
+        Ok[L] = static_cast<uint8_t>(M[L] & Keep);
+        ActiveOut |= ~Keep & laneMask(M[L]);
+      }
+    };
+    if (Ops[0] == 1) {
+      // A 1-D reference reads its index register in place.
+      const int64_t *X = Regs[Ops[1]].I.data();
+      uint64_t Bound = indexBound(D.Dims[0]);
+      Pass([X](size_t L) { return static_cast<uint64_t>(X[L]) - 1; },
+           [X, Bound](size_t L) { return outOfRange(X[L], Bound); });
+    } else {
+      // Deeper ones fold row-major offsets and out-of-range bits into
+      // two scratch rows, one dimension at a time.
+      FlatsTmp.assign(laneCount(), 0);
+      OutTmp.assign(laneCount(), 0);
+      uint64_t *F = FlatsTmp.data(), *B = OutTmp.data();
+      for (int32_t Dim = 0; Dim < Ops[0]; ++Dim) {
+        const int64_t *X = Regs[Ops[1 + Dim]].I.data();
+        auto Ext = static_cast<uint64_t>(D.Dims[Dim]);
+        uint64_t Bound = indexBound(D.Dims[Dim]);
+        for (size_t L = 0; L < laneCount(); ++L) {
+          F[L] = F[L] * Ext + (static_cast<uint64_t>(X[L]) - 1);
+          B[L] |= outOfRange(X[L], Bound);
+        }
+      }
+      Pass([F](size_t L) { return F[L]; }, [B](size_t L) { return B[L]; });
+    }
+    return ActiveOut != 0;
+  }
+
+  /// True when some active lane indexes outside \p D's extents: one OR
+  /// reduction per dimension, no lane set.
+  bool anyActiveOutOfBounds(const ir::VarDecl &D, const int32_t *Ops) const {
+    const uint8_t *M = Mask.current().data();
+    uint64_t Out = 0;
+    for (int32_t Dim = 0; Dim < Ops[0]; ++Dim) {
+      const int64_t *X = Regs[Ops[1 + Dim]].I.data();
+      uint64_t Bound = indexBound(D.Dims[Dim]);
+      for (size_t L = 0; L < laneCount(); ++L)
+        Out |= outOfRange(X[L], Bound) & laneMask(M[L]);
+    }
+    return (Out >> 63) != 0;
+  }
+
+  /// Masked scatter of an index tuple that is in bounds on every active
+  /// lane, committed in lane order (a later lane wins a conflict).
+  template <typename T>
+  void scatterLanes(T *Dst, const T *Src, const ir::VarDecl &D,
+                    const int32_t *Ops) {
+    const uint8_t *M = Mask.current().data();
+    size_t N = laneCount();
+    if (Ops[0] == 1) {
+      const int64_t *X = Regs[Ops[1]].I.data();
+      for (size_t L = 0; L < N; ++L)
+        if (M[L])
+          Dst[X[L] - 1] = Src[L];
+      return;
+    }
+    for (size_t L = 0; L < N; ++L) {
+      if (!M[L])
+        continue;
+      int64_t Flat = 0;
+      for (int32_t Dim = 0; Dim < Ops[0]; ++Dim)
+        Flat = Flat * D.Dims[Dim] + (Regs[Ops[1 + Dim]].I[L] - 1);
+      Dst[Flat] = Src[L];
+    }
+  }
+
+  /// Lanes marked in \p Sel whose element \p X0[L] of a distributed
+  /// dimension of \p Extent elements lives on another lane:
+  /// MachineConfig::laneOf with the layout decided once (a power-of-two
+  /// cyclic machine masks, and that loop vectorizes). Unmarked lanes may
+  /// hold any index; their home is computed in unsigned arithmetic and
+  /// discarded.
+  int64_t remoteLanes(const int64_t *X0, int64_t Extent,
+                      const uint8_t *Sel) const {
+    auto G = static_cast<uint64_t>(Lanes);
+    uint64_t Count = 0;
+    auto CountIf = [&](auto Home) {
+      for (size_t L = 0; L < laneCount(); ++L) {
+        uint64_t Away = Home(static_cast<uint64_t>(X0[L]) - 1) ^ L;
+        Count += (~zeroBit(Away) >> 63) & static_cast<uint64_t>(Sel[L] != 0);
+      }
+    };
+    if (Machine.DataLayout == machine::Layout::Cyclic) {
+      if ((G & (G - 1)) == 0)
+        CountIf([G](uint64_t E) { return E & (G - 1); });
+      else
+        CountIf([G](uint64_t E) { return E % G; });
+    } else {
+      auto Chunk = static_cast<uint64_t>(Machine.layersFor(Extent));
+      CountIf([Chunk](uint64_t E) { return E / Chunk; });
+    }
+    return static_cast<int64_t>(Count);
   }
 
   /// Operand-register list behind an Extra offset: [count, regs...].
   const int32_t *extra(int32_t Off) const { return &EP.Extra[Off]; }
 };
 
-inline void Core::run() {
+// Pinned to a cache line: the dispatch loop's speed otherwise moves
+// with wherever the linker happens to place it.
+[[gnu::aligned(64)]] inline void Core::run() {
   size_t PC = 0;
   for (;;) {
     const Instr &I = EP.Code[PC];
@@ -443,44 +615,27 @@ inline void Core::run() {
       const Slot &S = *Slots[I.B];
       const ir::VarDecl &D = *S.Decl;
       const int32_t *Ops = extra(I.C);
-      int32_t N = Ops[0];
       charge(Machine.Costs.GatherOp);
-      if (S.isReal())
-        outR(I.A).assign(laneCount(), 0.0);
-      else
-        outI(I.A, D.Kind).assign(laneCount(), 0);
-      VecVal &Out = Regs[static_cast<size_t>(I.A)];
-      std::vector<int64_t> BadLanes;
-      for (int64_t L = 0; L < Lanes; ++L) {
-        int64_t Flat = 0;
-        bool InBounds = true;
-        for (int32_t Dim = 0; Dim < N; ++Dim) {
-          int64_t IdxV = Regs[Ops[1 + Dim]].I[static_cast<size_t>(L)];
-          if (IdxV < 1 || IdxV > D.Dims[Dim]) {
-            InBounds = false;
-            break;
-          }
-          Flat = Flat * D.Dims[Dim] + (IdxV - 1);
-        }
-        if (!InBounds) {
-          if (Mask.isActive(L))
+      // One masked pass over every lane: out-of-bounds lanes read 0, and
+      // MaskTmp marks the active in-bounds ones.
+      MaskTmp.resize(laneCount());
+      bool ActiveOut =
+          S.isReal() ? gatherLanes(outR(I.A).data(), S.R, D, Ops,
+                                   MaskTmp.data())
+                     : gatherLanes(outI(I.A, D.Kind).data(), S.I, D, Ops,
+                                   MaskTmp.data());
+      if (D.Distribution == ir::Dist::Distributed && Ops[0] > 0)
+        Stats.CommAccesses +=
+            remoteLanes(Regs[Ops[1]].I.data(), D.Dims[0], MaskTmp.data());
+      if (ActiveOut) {
+        std::vector<int64_t> BadLanes;
+        for (int64_t L = 0; L < Lanes; ++L)
+          if (Mask.isActive(L) && !MaskTmp[static_cast<size_t>(L)])
             BadLanes.push_back(L);
-          continue; // idle lane gathers garbage; leave 0
-        }
-        if (D.Distribution == ir::Dist::Distributed && Mask.isActive(L)) {
-          int64_t Dim0 = Regs[Ops[1]].I[static_cast<size_t>(L)];
-          if (Machine.laneOf(Dim0, D.Dims[0]) != L)
-            Stats.CommAccesses += 1;
-        }
-        if (S.isReal())
-          Out.R[static_cast<size_t>(L)] = S.R[static_cast<size_t>(Flat)];
-        else
-          Out.I[static_cast<size_t>(L)] = S.I[static_cast<size_t>(Flat)];
-      }
-      if (!BadLanes.empty())
         trap(TrapKind::OutOfBounds,
              "active lane(s) read out of bounds from '" + D.Name + "'",
              std::move(BadLanes));
+      }
       break;
     }
     case Opcode::StVar: {
@@ -538,48 +693,31 @@ inline void Core::run() {
       int32_t N = Ops[0];
       const VecVal &C = readVec(I.B, D.Kind, CoerceA);
       charge(Machine.Costs.ScatterOp);
-      // Validate every active lane before committing any store: a
-      // scatter with a faulting lane must not half-commit.
-      FlatsTmp.assign(laneCount(), -1);
-      std::vector<int64_t> &Flats = FlatsTmp;
-      std::vector<int64_t> BadLanes;
-      for (int64_t L = 0; L < Lanes; ++L) {
-        if (!Mask.isActive(L))
-          continue;
-        int64_t Flat = 0;
-        bool InBounds = true;
-        for (int32_t Dim = 0; Dim < N; ++Dim) {
-          int64_t IdxV = Regs[Ops[1 + Dim]].I[static_cast<size_t>(L)];
-          if (IdxV < 1 || IdxV > D.Dims[Dim]) {
-            InBounds = false;
-            break;
-          }
-          Flat = Flat * D.Dims[Dim] + (IdxV - 1);
+      // A scatter with an active lane out of bounds commits nothing and
+      // traps with those lanes.
+      if (anyActiveOutOfBounds(D, Ops)) {
+        std::vector<int64_t> BadLanes;
+        for (int64_t L = 0; L < Lanes; ++L) {
+          if (!Mask.isActive(L))
+            continue;
+          for (int32_t Dim = 0; Dim < N; ++Dim)
+            if (outOfRange(Regs[Ops[1 + Dim]].I[static_cast<size_t>(L)],
+                           indexBound(D.Dims[Dim])) >> 63) {
+              BadLanes.push_back(L);
+              break;
+            }
         }
-        if (!InBounds) {
-          BadLanes.push_back(L);
-          continue;
-        }
-        Flats[static_cast<size_t>(L)] = Flat;
-      }
-      if (!BadLanes.empty())
         trap(TrapKind::OutOfBounds,
              "active lane(s) write out of bounds to '" + D.Name + "'",
              std::move(BadLanes));
-      for (int64_t L = 0; L < Lanes; ++L) {
-        if (!Mask.isActive(L))
-          continue;
-        int64_t Flat = Flats[static_cast<size_t>(L)];
-        if (D.Distribution == ir::Dist::Distributed) {
-          int64_t Dim0 = Regs[Ops[1]].I[static_cast<size_t>(L)];
-          if (Machine.laneOf(Dim0, D.Dims[0]) != L)
-            Stats.CommAccesses += 1;
-        }
-        if (S.isReal())
-          S.R[static_cast<size_t>(Flat)] = C.R[static_cast<size_t>(L)];
-        else
-          S.I[static_cast<size_t>(Flat)] = C.I[static_cast<size_t>(L)];
       }
+      if (D.Distribution == ir::Dist::Distributed && N > 0)
+        Stats.CommAccesses += remoteLanes(Regs[Ops[1]].I.data(), D.Dims[0],
+                                          Mask.current().data());
+      if (S.isReal())
+        scatterLanes(S.R.data(), C.R.data(), D, Ops);
+      else
+        scatterLanes(S.I.data(), C.I.data(), D, Ops);
       if (SlotWork[I.A])
         recordWorkStep();
       break;
@@ -621,13 +759,18 @@ inline void Core::run() {
     case Opcode::CmpGt:
     case Opcode::CmpGe: {
       charge(Machine.Costs.CmpOp);
-      // Comparisons evaluate through double on every lane (the tree
-      // walker's rule, int operands included); widen once into the
-      // coercion scratch and run one real-compare kernel.
-      const VecVal &L = readReal(I.B, CoerceA);
-      const VecVal &R = readReal(I.C, CoerceB);
-      cmpRR(I.Op, outI(I.A, ir::ScalarKind::Bool).data(), L.R.data(),
-            R.R.data(), laneCount());
+      const VecVal &L = Regs[I.B], &R = Regs[I.C];
+      int64_t *Out = outI(I.A, ir::ScalarKind::Bool).data();
+      bool LReal = L.Kind == ir::ScalarKind::Real;
+      bool RReal = R.Kind == ir::ScalarKind::Real;
+      if (LReal && RReal)
+        cmpLanes(I.Op, Out, L.R.data(), R.R.data(), laneCount());
+      else if (LReal)
+        cmpLanes(I.Op, Out, L.R.data(), R.I.data(), laneCount());
+      else if (RReal)
+        cmpLanes(I.Op, Out, L.I.data(), R.R.data(), laneCount());
+      else
+        cmpLanes(I.Op, Out, L.I.data(), R.I.data(), laneCount());
       break;
     }
     case Opcode::AddI:
@@ -646,11 +789,13 @@ inline void Core::run() {
     }
     case Opcode::DivI:
     case Opcode::ModI: {
-      // The zero-divisor sweep collects the faulting active-lane set
-      // for the trap.
       charge(Machine.Costs.IntOp);
       const VecVal &L = Regs[I.B], &R = Regs[I.C];
       std::vector<int64_t> &Out = outI(I.A, ir::ScalarKind::Int);
+      bool IsDiv = I.Op == Opcode::DivI;
+      // The zero-divisor sweep collects the faulting active-lane set
+      // for the trap. (A zero check ahead of a dense divide measured
+      // slower: the 64 divides dominate either way.)
       std::vector<int64_t> ZeroLanes;
       for (size_t K = 0; K < laneCount(); ++K) {
         int64_t LV = L.I[K], RV = R.I[K];
@@ -661,12 +806,12 @@ inline void Core::run() {
             ZeroLanes.push_back(static_cast<int64_t>(K));
           Out[K] = 0;
         } else {
-          Out[K] = I.Op == Opcode::DivI ? LV / RV : LV % RV;
+          Out[K] = IsDiv ? interp::divInt(LV, RV) : interp::modInt(LV, RV);
         }
       }
       if (!ZeroLanes.empty())
         trap(TrapKind::DivByZero,
-             std::string(I.Op == Opcode::ModI ? "MOD" : "division") +
+             std::string(IsDiv ? "division" : "MOD") +
                  " by zero on active lane(s)",
              std::move(ZeroLanes));
       break;
@@ -756,14 +901,19 @@ inline void Core::run() {
     case Opcode::AnyAll: {
       charge(Machine.Costs.ReduceOp);
       bool IsAll = I.D != 0;
-      const VecVal &A = Regs[I.B];
-      bool Acc = IsAll;
-      for (int64_t L = 0; L < Lanes; ++L) {
-        if (!Mask.isActive(L))
-          continue;
-        bool V = A.I[static_cast<size_t>(L)] != 0;
-        Acc = IsAll ? (Acc && V) : (Acc || V);
-      }
+      const int64_t *A = Regs[I.B].I.data();
+      const uint8_t *M = Mask.current().data();
+      // One OR reduction: some active lane true (ANY), some active lane
+      // false (not ALL; a top bit). No active lane: ANY is false, ALL
+      // is true.
+      uint64_t Hit = 0;
+      if (IsAll)
+        for (size_t L = 0; L < laneCount(); ++L)
+          Hit |= zeroBit(static_cast<uint64_t>(A[L])) & laneMask(M[L]);
+      else
+        for (size_t L = 0; L < laneCount(); ++L)
+          Hit |= static_cast<uint64_t>(A[L]) & laneMask(M[L]);
+      bool Acc = IsAll ? (Hit >> 63) == 0 : Hit != 0;
       outI(I.A, ir::ScalarKind::Bool).assign(laneCount(), Acc ? 1 : 0);
       break;
     }
@@ -853,15 +1003,15 @@ inline void Core::run() {
         Out.R.clear();
         Out.I.assign(laneCount(), 0);
       }
-      std::vector<ScalVal> LaneArgs(static_cast<size_t>(N));
+      CallArgs.resize(static_cast<size_t>(N));
       for (int64_t L = 0; L < Lanes; ++L) {
         if (!Mask.isActive(L))
           continue;
         for (int32_t A = 0; A < N; ++A)
-          LaneArgs[static_cast<size_t>(A)] = Regs[Ops[1 + A]].lane(L);
+          CallArgs[static_cast<size_t>(A)] = Regs[Ops[1 + A]].lane(L);
         ScalVal R;
         try {
-          R = Impl->Fn(LaneArgs);
+          R = Impl->Fn(CallArgs);
         } catch (const ExternError &E) {
           trap(TrapKind::ExternFailure,
                "extern '" + EP.Callees[I.B] + "' failed: " + E.Message,
@@ -965,8 +1115,7 @@ inline void Core::run() {
     case Opcode::WherePush: {
       const VecVal &C = Regs[I.A];
       MaskTmp.resize(laneCount());
-      for (size_t K = 0; K < laneCount(); ++K)
-        MaskTmp[K] = C.I[K] != 0;
+      truthBytes(MaskTmp.data(), C.I.data(), laneCount());
       charge(Machine.Costs.LogicOp);
       Mask.pushAnd(MaskTmp);
       break;

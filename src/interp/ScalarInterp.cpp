@@ -289,11 +289,11 @@ private:
     case BinOp::Div:
       if (RV == 0)
         trap(TrapKind::DivByZero, "integer division by zero");
-      return ScalVal::makeInt(LV / RV);
+      return ScalVal::makeInt(divInt(LV, RV));
     case BinOp::Mod:
       if (RV == 0)
         trap(TrapKind::DivByZero, "MOD by zero");
-      return ScalVal::makeInt(LV % RV);
+      return ScalVal::makeInt(modInt(LV, RV));
     default:
       SIMDFLAT_UNREACHABLE("bad int arithmetic op");
     }

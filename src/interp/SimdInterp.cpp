@@ -397,7 +397,7 @@ private:
             ZeroLanes.push_back(static_cast<int64_t>(I));
           Out.I[I] = 0;
         } else {
-          Out.I[I] = LV / RV;
+          Out.I[I] = divInt(LV, RV);
         }
         break;
       case BinOp::Mod:
@@ -406,7 +406,7 @@ private:
             ZeroLanes.push_back(static_cast<int64_t>(I));
           Out.I[I] = 0;
         } else {
-          Out.I[I] = LV % RV;
+          Out.I[I] = modInt(LV, RV);
         }
         break;
       default:

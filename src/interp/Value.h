@@ -24,6 +24,16 @@
 namespace simdflat {
 namespace interp {
 
+/// Integer DIV and MOD for a nonzero divisor, defined on every input:
+/// DIV by -1 is the two's-complement negation (INT64_MIN / -1 is
+/// INT64_MIN) and MOD by -1 is 0, where the host's / and % would trap.
+/// Every engine and the literal folder divide through these; callers
+/// handle a zero divisor.
+inline int64_t divInt(int64_t A, int64_t B) {
+  return B == -1 ? static_cast<int64_t>(0 - static_cast<uint64_t>(A)) : A / B;
+}
+inline int64_t modInt(int64_t A, int64_t B) { return B == -1 ? 0 : A % B; }
+
 /// One scalar runtime value.
 struct ScalVal {
   ir::ScalarKind Kind = ir::ScalarKind::Int;

@@ -3,31 +3,43 @@
 #include "machine/MaskStack.h"
 
 #include <cassert>
+#include <cstring>
 
 using namespace simdflat;
 using namespace simdflat::machine;
 
 void MaskStack::pushAnd(const std::vector<uint8_t> &Cond) {
   assert(Cond.size() == Current.size() && "mask width mismatch");
-  Level L;
-  L.Parent = Current;
-  L.Cond = Cond;
-  for (size_t I = 0; I < Current.size(); ++I)
-    Current[I] = static_cast<uint8_t>(Current[I] & Cond[I]);
-  Saved.push_back(std::move(L));
+  size_t N = Current.size(), Row = Depth * N;
+  if (Parents.size() < Row + N) {
+    Parents.resize(Row + N);
+    Conds.resize(Row + N);
+  }
+  // Plain pointers: a byte store through Current[I] could alias the
+  // vector's own fields and would keep the loop from vectorizing.
+  uint8_t *Cur = Current.data();
+  const uint8_t *C = Cond.data();
+  std::memcpy(Parents.data() + Row, Cur, N);
+  std::memcpy(Conds.data() + Row, C, N);
+  for (size_t I = 0; I < N; ++I)
+    Cur[I] = static_cast<uint8_t>(Cur[I] & C[I]);
+  ++Depth;
 }
 
 void MaskStack::flipTop() {
-  assert(!Saved.empty() && "flipTop at top level");
-  const Level &L = Saved.back();
-  for (size_t I = 0; I < Current.size(); ++I)
-    Current[I] = static_cast<uint8_t>(L.Parent[I] & !L.Cond[I]);
+  assert(Depth > 0 && "flipTop at top level");
+  size_t N = Current.size(), Row = (Depth - 1) * N;
+  const uint8_t *Parent = Parents.data() + Row, *Cond = Conds.data() + Row;
+  uint8_t *Cur = Current.data();
+  for (size_t I = 0; I < N; ++I)
+    Cur[I] = static_cast<uint8_t>(Parent[I] & !Cond[I]);
 }
 
 void MaskStack::pop() {
-  assert(!Saved.empty() && "pop at top level");
-  Current = Saved.back().Parent;
-  Saved.pop_back();
+  assert(Depth > 0 && "pop at top level");
+  --Depth;
+  std::memcpy(Current.data(), Parents.data() + Depth * Current.size(),
+              Current.size());
 }
 
 int64_t MaskStack::activeCount() const {

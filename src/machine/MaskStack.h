@@ -22,7 +22,9 @@
 namespace simdflat {
 namespace machine {
 
-/// Stack of AND-composed lane masks.
+/// Stack of AND-composed lane masks. Pushed levels live in flat rows
+/// that only ever grow, so push, flip and pop copy bytes and allocate
+/// only the first time the stack reaches a new depth.
 class MaskStack {
 public:
   explicit MaskStack(int64_t Lanes)
@@ -51,7 +53,7 @@ public:
   void pop();
 
   /// Number of pushed levels (0 at top level).
-  size_t depth() const { return Saved.size(); }
+  size_t depth() const { return Depth; }
 
   /// Number of active lanes.
   int64_t activeCount() const;
@@ -62,12 +64,10 @@ public:
 private:
   int64_t Lanes;
   std::vector<uint8_t> Current;
-  /// Saved (parent mask, condition) pairs for pop/flip.
-  struct Level {
-    std::vector<uint8_t> Parent;
-    std::vector<uint8_t> Cond;
-  };
-  std::vector<Level> Saved;
+  /// Level D's parent mask (for pop and flip) and condition (for flip)
+  /// at bytes [D * Lanes, (D + 1) * Lanes); rows past Depth are stale.
+  std::vector<uint8_t> Parents, Conds;
+  size_t Depth = 0;
 };
 
 } // namespace machine

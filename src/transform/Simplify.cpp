@@ -2,6 +2,7 @@
 
 #include "transform/Simplify.h"
 
+#include "interp/Value.h"
 #include "ir/Walk.h"
 
 #include <cmath>
@@ -51,9 +52,9 @@ ExprPtr foldLiterals(const BinaryExpr &B) {
     case BinOp::Mul:
       return intLit(L * R);
     case BinOp::Div:
-      return R == 0 ? nullptr : intLit(L / R);
+      return R == 0 ? nullptr : intLit(interp::divInt(L, R));
     case BinOp::Mod:
-      return R == 0 ? nullptr : intLit(L % R);
+      return R == 0 ? nullptr : intLit(interp::modInt(L, R));
     case BinOp::Eq:
       return boolLit(L == R);
     case BinOp::Ne:

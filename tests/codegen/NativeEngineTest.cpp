@@ -19,6 +19,7 @@
 #include "exec/Engine.h"
 #include "exec/Lower.h"
 #include "frontend/Parser.h"
+#include "interp/ScalarInterp.h"
 #include "interp/SimdInterp.h"
 #include "transform/Pipeline.h"
 #include "workloads/PaperKernels.h"
@@ -31,6 +32,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <functional>
+#include <limits>
 #include <map>
 #include <optional>
 
@@ -781,6 +783,61 @@ TEST(NativeEngine, DivModByNonzeroLiteralMatchesSweep) {
   ASSERT_FALSE(Tree.T) << Tree.T->render();
   EXPECT_EQ(Tree.Ints["B"], (std::vector<int64_t>{-2, 2, 0, 0, 4, -4}));
   EXPECT_EQ(Tree.Ints["C"], (std::vector<int64_t>{-3, 3, -1, 0, 1, -1}));
+}
+
+TEST(NativeEngine, DivModByMinusOneNegatesAndIsZero) {
+  // The host's INT64_MIN / -1 overflows (SIGFPE on x86). DIV by -1 is
+  // the two's-complement negation, so INT64_MIN / -1 is INT64_MIN, and
+  // MOD by -1 is 0: by a register divisor and by the literal, on every
+  // SIMD engine and on the scalar interpreter alike, and when the
+  // pipeline folds two literals at compile time (QF, RF).
+  const char *Source = "PROGRAM DM\n"
+                       "DISTRIBUTED INTEGER A(4)\n"
+                       "DISTRIBUTED INTEGER D(4)\n"
+                       "DISTRIBUTED INTEGER Q(4)\n"
+                       "DISTRIBUTED INTEGER R(4)\n"
+                       "DISTRIBUTED INTEGER QL(4)\n"
+                       "DISTRIBUTED INTEGER RL(4)\n"
+                       "DISTRIBUTED INTEGER QF(4)\n"
+                       "DISTRIBUTED INTEGER RF(4)\n"
+                       "INTEGER k\n"
+                       "BEGIN\n"
+                       "  DOALL k = 1, 4\n"
+                       "    Q(k) = A(k) / D(k)\n"
+                       "    R(k) = MOD(A(k), D(k))\n"
+                       "    QL(k) = A(k) / (-1)\n"
+                       "    RL(k) = MOD(A(k), -1)\n"
+                       "    QF(k) = (-9223372036854775807 - 1) / (-1)\n"
+                       "    RF(k) = MOD(-9223372036854775807 - 1, -1)\n"
+                       "  ENDDO\n"
+                       "END\n";
+  transform::CompiledSimdProgram C{Program(""), nullptr};
+  ASSERT_NO_FATAL_FAILURE(compileSource(Source, C));
+  constexpr int64_t Min = std::numeric_limits<int64_t>::min();
+  auto Seed = [](DataStore &S) {
+    S.setIntArray("A", std::vector<int64_t>{Min, -7, 7, Min});
+    S.setIntArray("D", std::vector<int64_t>{-1, -1, 2, 3});
+  };
+  const std::vector<std::string> Out = {"Q", "R", "QL", "RL", "QF", "RF"};
+  EngineRun Tree = expectEnginesAgree(C.Prog, C.Code, Seed, Out, {});
+  ASSERT_FALSE(Tree.T) << Tree.T->render();
+  EXPECT_EQ(Tree.Ints["Q"],
+            (std::vector<int64_t>{Min, 7, 3, -3074457345618258602}));
+  EXPECT_EQ(Tree.Ints["R"], (std::vector<int64_t>{0, 0, 1, -2}));
+  EXPECT_EQ(Tree.Ints["QL"], (std::vector<int64_t>{Min, 7, -7, Min}));
+  EXPECT_EQ(Tree.Ints["RL"], (std::vector<int64_t>{0, 0, 0, 0}));
+  EXPECT_EQ(Tree.Ints["QF"], (std::vector<int64_t>{Min, Min, Min, Min}));
+  EXPECT_EQ(Tree.Ints["RF"], (std::vector<int64_t>{0, 0, 0, 0}));
+
+  // The scalar baseline runs the untransformed program.
+  frontend::ParseResult PR = frontend::parseProgram(Source);
+  ASSERT_TRUE(PR.ok()) << PR.Diags.renderAll();
+  ScalarInterp Scalar(*PR.Prog, machine::MachineConfig::sparc2(), nullptr);
+  Seed(Scalar.store());
+  auto SR = Scalar.run();
+  ASSERT_TRUE(static_cast<bool>(SR)) << SR.error().render();
+  for (const std::string &N : Out)
+    EXPECT_EQ(Scalar.store().slot(N).I, Tree.Ints[N]) << N;
 }
 
 TEST(NativeEngine, ExternThrowingOnThirdActiveLaneStopsThere) {

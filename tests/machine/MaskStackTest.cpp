@@ -4,6 +4,9 @@
 
 #include <gtest/gtest.h>
 
+#include <utility>
+#include <vector>
+
 using namespace simdflat;
 using namespace simdflat::machine;
 
@@ -70,7 +73,7 @@ TEST(MaskStack, FlipInsideEmptyParent) {
 }
 
 // A WHERE ladder ~100 deep: each level masks out one more lane-group
-// slot of a 128-lane machine. Exercises the Saved vector far past any
+// slot of a 128-lane machine. Exercises the level rows far past any
 // realistic program and checks pop unwinds exactly.
 TEST(MaskStack, DeepNesting) {
   constexpr int64_t Lanes = 128;
@@ -98,6 +101,62 @@ TEST(MaskStack, DeepNesting) {
     EXPECT_EQ(M.activeCount(), Lanes - (D - 1));
   }
   EXPECT_EQ(M.activeCount(), Lanes);
+}
+
+// The level rows only ever grow and are reused: a stack popped back to
+// the top and pushed deeper with new conditions must compute every mask
+// from the new levels, never from a stale row of the earlier ones.
+TEST(MaskStack, RegrowthMatchesPerLevelReference) {
+  using Mask = std::vector<uint8_t>;
+  constexpr size_t Lanes = 6;
+  MaskStack M(static_cast<int64_t>(Lanes));
+  // The reference keeps each level's (parent, condition) in vectors of
+  // its own.
+  std::vector<std::pair<Mask, Mask>> Levels;
+  Mask Cur(Lanes, 1);
+  auto Check = [&](const char *Step) {
+    EXPECT_EQ(M.current(), Cur) << Step << " at depth " << Levels.size();
+    EXPECT_EQ(M.depth(), Levels.size()) << Step;
+  };
+  auto Push = [&](const Mask &Cond) {
+    Levels.emplace_back(Cur, Cond);
+    for (size_t L = 0; L < Lanes; ++L)
+      Cur[L] = static_cast<uint8_t>(Cur[L] & Cond[L]);
+    M.pushAnd(Cond);
+    Check("push");
+  };
+  auto Flip = [&] {
+    const auto &[Parent, Cond] = Levels.back();
+    for (size_t L = 0; L < Lanes; ++L)
+      Cur[L] = static_cast<uint8_t>(Parent[L] & !Cond[L]);
+    M.flipTop();
+    Check("flip");
+  };
+  auto Pop = [&] {
+    Cur = Levels.back().first;
+    Levels.pop_back();
+    M.pop();
+    Check("pop");
+  };
+  // Depth 3, flipping at each level (each ELSEWHERE nests the next
+  // WHERE), then back to the top.
+  for (const Mask &Cond : {Mask{1, 1, 1, 1, 0, 1}, Mask{1, 0, 1, 1, 1, 1},
+                           Mask{0, 1, 1, 0, 1, 1}}) {
+    Push(Cond);
+    Flip();
+  }
+  Pop();
+  Pop();
+  Pop();
+  // Depth 4 with different conditions: three reused rows, one new.
+  for (const Mask &Cond : {Mask{0, 1, 0, 1, 1, 1}, Mask{1, 1, 0, 0, 1, 0},
+                           Mask{0, 1, 1, 1, 0, 1}, Mask{1, 0, 1, 0, 1, 1}}) {
+    Push(Cond);
+    Flip();
+  }
+  while (!Levels.empty())
+    Pop();
+  EXPECT_EQ(M.activeCount(), static_cast<int64_t>(Lanes));
 }
 
 // Once every lane is masked, further nesting keeps the machine fully

@@ -271,4 +271,50 @@ TEST(FlattencCli, MisspelledValueFlagsAreUsageErrors) {
   std::remove(Fix.c_str());
 }
 
+TEST(FlattencCli, DivisionByMinusOneRunsOnEveryEngine) {
+  // INT64_MIN / -1 overflows the host's division: the engines negate
+  // through uint64_t instead (MOD by -1 is 0), and all three print the
+  // same stores instead of dying on SIGFPE. Q and R divide two literals,
+  // which the pipeline folds before any engine runs.
+  std::string Path =
+      "/tmp/flattenc_cli_divm1_" + std::to_string(getpid()) + ".f";
+  if (FILE *F = std::fopen(Path.c_str(), "w")) {
+    std::fputs("PROGRAM DM\n"
+               "DISTRIBUTED INTEGER A(4)\n"
+               "DISTRIBUTED INTEGER B(4)\n"
+               "DISTRIBUTED INTEGER C(4)\n"
+               "DISTRIBUTED INTEGER Q(4)\n"
+               "DISTRIBUTED INTEGER R(4)\n"
+               "INTEGER k\n"
+               "BEGIN\n"
+               "  DOALL k = 1, 4\n"
+               "    B(k) = A(k) / (-1)\n"
+               "    C(k) = MOD(A(k), -1)\n"
+               "    Q(k) = (-9223372036854775807 - 1) / (-1)\n"
+               "    R(k) = MOD(-9223372036854775807 - 1, -1)\n"
+               "  ENDDO\n"
+               "END\n",
+               F);
+    std::fclose(F);
+  }
+  for (const char *E : {"tree", "bytecode", "native"}) {
+    CliResult R = runFlattenc(
+        std::string("--run --lanes=4 --engine=") + E +
+        " --set-array A=-9223372036854775808,-7,7,1 " + Path);
+    EXPECT_EQ(R.ExitCode, 0) << E << ":\n" << R.Output;
+    EXPECT_NE(R.Output.find("  B = -9223372036854775808 7 -7 -1\n"),
+              std::string::npos)
+        << E << ":\n" << R.Output;
+    EXPECT_NE(R.Output.find("  C = 0 0 0 0\n"), std::string::npos)
+        << E << ":\n" << R.Output;
+    EXPECT_NE(R.Output.find("  Q = -9223372036854775808 -9223372036854775808 "
+                            "-9223372036854775808 -9223372036854775808\n"),
+              std::string::npos)
+        << E << ":\n" << R.Output;
+    EXPECT_NE(R.Output.find("  R = 0 0 0 0\n"), std::string::npos)
+        << E << ":\n" << R.Output;
+  }
+  std::remove(Path.c_str());
+}
+
 } // namespace
